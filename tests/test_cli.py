@@ -1,12 +1,13 @@
 """End-to-end command line: build, params, verify, soundness, simulate,
 export, config files and the reproducibility manifest."""
 import csv
+import hashlib
 import json
 
 import pytest
 
 from codeforge import __version__
-from codeforge.cli import main
+from codeforge.cli import FAMILIES, main
 
 
 def run(capsys, *argv):
@@ -41,14 +42,108 @@ def test_build_reports_params_with_distance(tmp_path, capsys):
     assert "n=8 k=2 d=2" in stdout
 
 
+# sha256 of every bundle file of each family built from rep:2, frozen so
+# that a refactor of the code representation cannot change a byte
+GOLDEN_BUNDLES = {
+    "hgp": {
+        "hx.alist": "f63d57b377d80d64fbfc4d228d50df1f80d6970c6cc5dc0da3e5c466d526234c",
+        "hz.alist": "78c6efc9e011464d893ca9d915a7ee298c470903600fe61a4f34b67b5a92371d",
+        "manifest.json": "84eb32f5c50e00ec48f695d1208eb3472ed3e8be7518f15d0993c657169b20fe",
+    },
+    "sehgp": {
+        "hx.alist": "a5212b8f5bebf066d1aa7a11260aec4f569771d073b2f6b6d8931db22123e0dd",
+        "hz.alist": "c51488f3e3d3ac4f6c74172907cdc00dc1ed2f0986c3f315e5b379161fca0a95",
+        "manifest.json": "265f0832bec61c048a607649cffe638a628af2c83740a81131f287e16cf79cac",
+    },
+    "bsh": {
+        "hsx.alist": "604838b650043c3867bd0780fbffb71b9c306c3ef0741e649cca227f728e7002",
+        "hsz.alist": "1c84c3bc0f6075e7c14f63cb0a8aeb737e00df48245265a8dc14c176477d5839",
+        "hx.alist": "29c97765ec227d1e239f64b175486547f813b92cf0eae59d0a9fc68d0e476f77",
+        "hz.alist": "7ea77744a88d9065a1f98f2ba6787dade162bd0e32ab5be3b10725bf894a6fd0",
+        "manifest.json": "431bc26dfeda1f83f7307532916776fca0316c95f018b02d0f868167183dd710",
+    },
+    "ssh": {
+        "hx.alist": "62c1662780119e21180df7a98ce3a2d20c908e19c946734581124aed093ba7ac",
+        "hz.alist": "185714fbf3d8a4c83fd882b52bce0070c39e1bfd0ad7cde2aaf2e7592da9ef17",
+        "manifest.json": "cef22f064a5419ba5fa39c9a23627b6eb5ad14b23c0554fda2f04b40105ebdd1",
+    },
+    "bssh": {
+        "hsx.alist": "ceee67ffc4feac8a10ff6a100bceabb31897a1e97d48e4f016ee81947f1296cf",
+        "hsz.alist": "4bdfe025df3b3901ec0e8995f84b4dc286b8a32d2091083ae2aea4f35fbb4109",
+        "hx.alist": "90aa05d5361631998cc411d061ba7f8966a14075a932c99808c9909885341817",
+        "hz.alist": "de389cb857317081b3e71a62178dd2a645b7675d67ccdaa0533fae1e7f2c245a",
+        "manifest.json": "5ca8905ee2f282494f2fdc65d24c66f5cddd25c77ee0d6f086ed9104368199fc",
+    },
+    "rsh1": {
+        "hsx.alist": "b7f09932b3151f74ea5c17051bc8cf413f5041804b1e9c54e91016ef3586aafe",
+        "hsz.alist": "ca755eddfda950b37ab9bcb91258945590ff969a676373511aaa1847ccf99e71",
+        "hx.alist": "be8bc92cf18ffac9d770355ffa7908ef550841d94d811870f7b5267f7a6ae406",
+        "hz.alist": "13fba16822e318b107ecc68756f5f4454043cdb49bc475d4baf76e7a75ddcadd",
+        "manifest.json": "f4c5557ef5923826f708ac82e29571b5c1537b2039e936e86824f8121973b97f",
+    },
+    "rsh2": {
+        "hsx.alist": "d0f3c67dd4dd77818cf98248bf85051797645023d2fc04e61c8d8f0aed64e772",
+        "hsz.alist": "425f47896c68e2b27b1a6f28449902d130d09c9096eb001ada0c51fca71f252d",
+        "hx.alist": "62c1662780119e21180df7a98ce3a2d20c908e19c946734581124aed093ba7ac",
+        "hz.alist": "185714fbf3d8a4c83fd882b52bce0070c39e1bfd0ad7cde2aaf2e7592da9ef17",
+        "manifest.json": "c84aef8041628c6a0ab04c12cb723c85e862627cd88c0896f5decbf12be6d424",
+    },
+    "brsh1": {
+        "hsx.alist": "da1a9d9cf8a407d7cfe8a4fbd84aafdc47be52dae96880965ab10177d94aaf68",
+        "hsz.alist": "a42795824f0a78baa8038fb50fbf819ee923d2b653543ed3e382a2e99d627e3c",
+        "hx.alist": "ab30b371f4bd85b446392a4e64fa55e46131c0d4aa38be258bdd0313a4912646",
+        "hz.alist": "a09b911b5e178a0d9b3990f440916bb5002df80957a704d29508da743a9656e6",
+        "manifest.json": "6118ab6a39fbddc9b3e44652958ea9e613904716167472bb06008f8b02f87212",
+    },
+    "brsh2": {
+        "hsx.alist": "16fdf1dd370ba677d6a099a207b48ed5f980aae701d5e69b32de91f97a86aca2",
+        "hsz.alist": "55af862b89d509d8ed685270c30e94677711ca850bac20b9aec93496ea1d5262",
+        "hx.alist": "de389cb857317081b3e71a62178dd2a645b7675d67ccdaa0533fae1e7f2c245a",
+        "hz.alist": "90aa05d5361631998cc411d061ba7f8966a14075a932c99808c9909885341817",
+        "manifest.json": "d9290a7987124c9eeb0d90f4b52498280c99791f544ee0af8d85e501b0bda762",
+    },
+    "xzzx3d": {
+        "hsx.alist": "ceee67ffc4feac8a10ff6a100bceabb31897a1e97d48e4f016ee81947f1296cf",
+        "hsz.alist": "4bdfe025df3b3901ec0e8995f84b4dc286b8a32d2091083ae2aea4f35fbb4109",
+        "hx.alist": "90aa05d5361631998cc411d061ba7f8966a14075a932c99808c9909885341817",
+        "hz.alist": "de389cb857317081b3e71a62178dd2a645b7675d67ccdaa0533fae1e7f2c245a",
+        "manifest.json": "08579f9ade84ad4833308ca77d1df7ad749f449f87fff82b1a2938da01c6ad73",
+    },
+}
+# simulate on bssh rep:2 (p=0.05, etaZ:10, qmeas=0.01, 6 trials, seed 3):
+# the six rows hold a logical failure, an abort and repaired readouts
+GOLDEN_SIMULATE_CSV = "6484787e83dd8287e8cacb44ec60b1e88d0a62a25f46e4c0ebcaca6879e6a420"
+# soundness t=3 f=x3over4 on rsh1 rep:2
+GOLDEN_SOUNDNESS_CSV = "ad74954b1c4a1acc2cbf51cea76d4c29649097fbf03f8ce4987bdb159219dc4f"
+
+
+def _file_sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_build_every_family_smoke(tmp_path, capsys):
-    for fam in ("sehgp", "bsh", "ssh", "bssh", "rsh1", "brsh2", "xzzx3d"):
+    assert sorted(GOLDEN_BUNDLES) == sorted(FAMILIES)
+    for fam in FAMILIES:
         out = tmp_path / fam
         code, _, err = run(capsys, "build", "--family", fam, "--base",
                            "rep:2", "--out", str(out))
         assert code == 0, (fam, err)
         code, _, _ = run(capsys, "verify", "--code", str(out))
         assert code == 0, fam
+        got = {p.name: _file_sha256(p) for p in out.iterdir()
+               if p.name != "run_manifest.json"}
+        assert got == GOLDEN_BUNDLES[fam], fam
+    csv_path = tmp_path / "sim.csv"
+    code, _, err = run(capsys, "simulate", "--code", str(tmp_path / "bssh"),
+                       "--p", "0.05", "--bias", "etaZ:10", "--qmeas", "0.01",
+                       "--trials", "6", "--seed", "3", "--out", str(csv_path))
+    assert code == 0, err
+    assert _file_sha256(csv_path) == GOLDEN_SIMULATE_CSV
+    report = tmp_path / "scan.csv"
+    code, _, err = run(capsys, "soundness", "--code", str(tmp_path / "rsh1"),
+                       "--t", "3", "--f", "x3over4", "--report", str(report))
+    assert code == 0, err
+    assert _file_sha256(report) == GOLDEN_SOUNDNESS_CSV
 
 
 def test_run_manifest_contents(tmp_path, capsys):
