@@ -15,9 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import __version__, classical, css, f2, matio, noisesim, soundness
+from . import __version__, classical, css, matio, noisesim, soundness
 from . import constructions as cons
 
 FAMILIES = ["hgp", "sehgp", "bsh", "ssh", "bssh", "rsh1", "rsh2",
@@ -142,24 +140,12 @@ def cmd_build(args, manifest: RunManifest) -> int:
 def cmd_params(args, manifest: RunManifest) -> int:
     if args.code:
         code = _load_code(args.code)
-        tagged = None
     else:
         base, _, _ = _parse_base(args.base)
-        tagged = build_family(args.family, base)
-        code = tagged.css
-    if tagged is not None:
-        n, k, d = tagged.params(args.max_weight)
-    else:
-        n = code.n
-        k = css.logical_count(code)
-        if code.metadata.get("paired_rows"):
-            d = cons.pauli_distance(code.hx, code.hz, args.max_weight)
-        else:
-            dx = css.distance(code, "X", args.max_weight)
-            dz = css.distance(code, "Z", args.max_weight)
-            exact = [v for v in (dx, dz) if isinstance(v, int)]
-            d = min(exact) if exact else dx
-    print(f"n={n} k={k} d={d}")
+        code = build_family(args.family, base).css
+    k = css.logical_count(code)
+    d = cons.code_distance(code, args.max_weight)
+    print(f"n={code.n} k={k} d={d}")
     return 0
 
 
@@ -186,9 +172,8 @@ def cmd_verify(args, manifest: RunManifest) -> int:
 def cmd_soundness(args, manifest: RunManifest) -> int:
     code = _load_code(args.code)
     model = soundness.StabilizerModel.from_code(code)
-    smap = np.concatenate([model.zpart, model.xpart], axis=1)
     f = soundness.F_BY_NAME[args.f]
-    report = soundness.soundness_scan(smap, args.t, f)
+    report = soundness.soundness_scan(model.syndrome_map, args.t, f)
     with open(args.report, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["syndrome_weight", "max_reduced_weight", "bound",
@@ -252,9 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for target in (p, shared):
         target.add_argument("--config", help="key=value defaults file")
         target.add_argument("--seed", type=int, default=None)
-        target.add_argument("--threads", type=int, default=1,
-                            help="recorded in the manifest; execution is one "
-                                 "process")
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=lambda **kw: argparse.ArgumentParser(
                                parents=[shared], **kw))
@@ -306,9 +288,11 @@ def main(argv=None) -> int:
     parser, sub = _build_parser()
     cfg = {}
     if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
+        i = argv.index("--config") + 1
         try:
-            cfg = _load_config(cfg_path)
+            if i == len(argv):
+                raise ValueError("--config needs a file path")
+            cfg = _load_config(argv[i])
             known = {a.dest for sp in [parser, *sub.choices.values()]
                      for a in sp._actions}
             unknown = sorted(set(cfg) - known)
@@ -324,20 +308,21 @@ def main(argv=None) -> int:
                     action.required = False
     try:
         args = parser.parse_args(argv)
-        for name in ("seed", "threads", "trials", "t", "max_weight"):
+        for name in ("seed", "trials", "t", "max_weight"):
             if hasattr(args, name) and isinstance(getattr(args, name), str):
                 setattr(args, name, int(getattr(args, name)))
         for name in ("p", "qmeas"):
             if hasattr(args, name) and isinstance(getattr(args, name), str):
                 setattr(args, name, float(getattr(args, name)))
+        if args.seed is not None and not 0 <= args.seed < 2 ** 128:
+            raise ValueError(f"--seed must be in [0, 2**128), got {args.seed}")
         manifest = RunManifest(command=["forge"] + argv,
                                config_hash=_config_hash(cfg),
                                version=__version__, seed=args.seed)
         return args.func(args, manifest)
     except SystemExit:
         raise
-    except (ValueError, OSError, KeyError, IndexError,
-            css.CssValidationError, cons.CommutationBrokenError) as exc:
+    except (ValueError, OSError, KeyError, IndexError) as exc:
         msg = str(exc).replace("\n", " ") or exc.__class__.__name__
         print(f"error: {msg}", file=sys.stderr)
         return 1

@@ -6,11 +6,9 @@ highest degree first, matching the display order used throughout.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import f2, matio
+from . import f2
 
 
 class ComplexValidationError(ValueError):
@@ -86,16 +84,6 @@ class ChainComplex:
     def transposed(self) -> "ChainComplex":
         """The cochain direction: reverse and transpose every boundary."""
         return ChainComplex([b.T.copy() for b in reversed(self.boundaries)])
-
-
-def validate(c: ChainComplex) -> None:
-    """Module-level alias for ChainComplex.validate."""
-    c.validate()
-
-
-def betti(c: ChainComplex, k: int) -> int:
-    """Module-level alias for ChainComplex.betti."""
-    return c.betti(k)
 
 
 def _natural_components(x: ChainComplex, y: ChainComplex, k: int):
@@ -175,28 +163,3 @@ def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     if x.length == 2 and y.length == 2:
         return tensor_generic(x, y, orders={3: L2L2_DEGREE3_ORDER})
     return tensor_generic(x, y)
-
-
-def save_complex(c: ChainComplex, outdir) -> None:
-    """Serialize as a directory of alist files plus a manifest.
-
-    Layout: d<k>.alist for each boundary map, manifest.txt listing the
-    length and the dims line.
-    """
-    os.makedirs(outdir, exist_ok=True)
-    for k in range(1, c.length + 1):
-        matio.write_alist(c.boundary(k), os.path.join(outdir, f"d{k}.alist"))
-    with open(os.path.join(outdir, "manifest.txt"), "w") as fh:
-        fh.write(f"length {c.length}\n")
-        fh.write("dims " + " ".join(str(d) for d in c.dims) + "\n")
-
-
-def load_complex(indir) -> ChainComplex:
-    """Inverse of save_complex."""
-    with open(os.path.join(indir, "manifest.txt")) as fh:
-        fields = dict(line.split(maxsplit=1) for line in fh if line.strip())
-    length = int(fields["length"])
-    dims = [int(t) for t in fields["dims"].split()]
-    boundaries = [matio.read_alist(os.path.join(indir, f"d{k}.alist"))
-                  for k in range(length, 0, -1)]
-    return ChainComplex(boundaries, dims)

@@ -1,13 +1,14 @@
 """Block-matrix builders for every code family in the hierarchy:
 HGP, SEHGP, CPHR rotations, BSH, SSH/BSSH, RSH/BRSH, and the 3D XZZX code.
 
-Stabilizers are kept in a banded, block-tagged form: each row band carries
-an X-part and a Z-part over the full qubit register, and the qubit register
-is split into tagged column blocks.  Commutation-preserving Hadamard
-rotations (CPHR) swap the X- and Z-parts of one column block within chosen
-bands; after a swap a band may mix X and Z support, in which case the code
-is XZZX-like rather than CSS and the symplectic commutation condition and
-rank formula are used.
+Builders keep the construction structure in a banded, block-tagged form:
+each row band carries an X-part and a Z-part over the full qubit register,
+and the qubit register is split into tagged column blocks.
+Commutation-preserving Hadamard rotations (CPHR) swap the X- and Z-parts
+of one column block within chosen bands; after a swap a band may mix X and
+Z support, and the code is XZZX-like rather than CSS.  Every check, count
+and search runs on the CssCode view (BlockTaggedCss.css), which marks such
+codes as paired; code_distance is the one whole-code distance.
 
 Label notation: '@' is the Kronecker product, 'I' an identity block,
 'dk[J]' the degree-k boundary of complex J, a trailing 'T' its transpose.
@@ -22,10 +23,6 @@ from . import classical, css, f2
 from .classical import ClassicalCode, LowerBound
 from .complexes import ChainComplex, tensor
 from .css import CssCode
-
-
-class CommutationBrokenError(ValueError):
-    """Raised when a block swap would break stabilizer commutation."""
 
 
 @dataclass
@@ -103,7 +100,7 @@ class BlockTaggedCss:
     @property
     def css(self) -> CssCode:
         """CssCode view: pure bands are split by type; mixed codes keep the
-        full paired X/Z sides with a paired_rows marker."""
+        full X/Z sides, marked as paired rows."""
         meta = dict(self.metadata)
         meta["family"] = self.family
         meta["block_map"] = self.block_map()
@@ -123,48 +120,20 @@ class BlockTaggedCss:
                 for b in self.bands]
 
     def check_count(self) -> int:
-        """Number of measured stabilizers (band rows for paired codes)."""
-        if self.paired:
-            return sum(b.rows for b in self.bands)
-        c = self.css
-        return c.hx.shape[0] + c.hz.shape[0]
+        """Number of measured stabilizers."""
+        return self.css.stab_x.shape[0]
 
     def validate(self) -> None:
-        """Commutation check: CSS condition, or symplectic when paired."""
-        if not self.paired:
-            css.validate_css(self.css)
-            return
-        x, z = self.stab_x, self.stab_z
-        m = f2.mat_mul(x, z.T)
-        comm = m ^ m.T
-        if comm.any():
-            i, j = map(int, np.argwhere(comm)[0])
-            raise CommutationBrokenError(
-                f"stabilizer rows {i} and {j} anticommute after rotation")
+        css.validate_css(self.css)
 
     def logical_count(self) -> int:
-        """k = n - rank(hz) - rank(hx); symplectic rank for paired rows."""
-        if self.paired:
-            return self.n - f2.rank(np.concatenate([self.stab_x, self.stab_z], axis=1))
-        c = self.css
-        return self.n - f2.rank(c.hx) - f2.rank(c.hz)
+        return css.logical_count(self.css)
 
     def distance(self, max_weight: int):
-        """Minimum logical Pauli weight, searched up to max_weight.
-
-        Pure CSS codes take the cheaper per-sector kernel/coset search;
-        paired codes run the symplectic search over all Pauli patterns.
-        """
-        if self.paired:
-            return pauli_distance(self.stab_x, self.stab_z, max_weight)
-        c = self.css
-        dx = css.distance(c, "X", max_weight)
-        dz = css.distance(c, "Z", max_weight)
-        vals = [d for d in (dx, dz) if not isinstance(d, LowerBound)]
-        return min(vals) if vals else LowerBound(max_weight)
+        return code_distance(self.css, max_weight)
 
     def params(self, max_weight: int):
-        """(n, k, d-or-flag) by the appropriate rank and search rules."""
+        """(n, k, d-or-flag) of the CssCode view."""
         return self.n, self.logical_count(), self.distance(max_weight)
 
     def copy(self) -> "BlockTaggedCss":
@@ -236,7 +205,7 @@ def identical_code_premise(code: ClassicalCode) -> bool:
     return bool(t.contains_batch(kht).all())
 
 
-def hgp(h1, h2, legacy_order: bool = False) -> BlockTaggedCss:
+def hgp(h1, h2) -> BlockTaggedCss:
     """Hypergraph product of two check matrices.
 
     hx = [H1 (x) I | I (x) H2^T], hz = [I (x) H2 | H1^T (x) I] over qubit
@@ -246,31 +215,20 @@ def hgp(h1, h2, legacy_order: bool = False) -> BlockTaggedCss:
     Args:
         h1: First check matrix (m1 x n1).
         h2: Second check matrix (m2 x n2).
-        legacy_order: Emit the alternative summand order (check-check block
-            first), the convention used by the earlier product-code
-            literature.
     """
     h1 = f2.as_f2(h1)
     h2 = f2.as_f2(h2)
     m1, n1 = h1.shape
     m2, n2 = h2.shape
-    blocks = {
-        "x": [f2.kron(h1, f2.identity(n2)), f2.kron(f2.identity(m1), h2.T)],
-        "z": [f2.kron(f2.identity(n1), h2), f2.kron(h1.T, f2.identity(m2))],
-    }
-    x_labels = ["H1@I", "I@H2T"]
-    z_labels = ["I@H2", "H1T@I"]
+    hx = f2.block_compose([[f2.kron(h1, f2.identity(n2)),
+                            f2.kron(f2.identity(m1), h2.T)]])
+    hz = f2.block_compose([[f2.kron(f2.identity(n1), h2),
+                            f2.kron(h1.T, f2.identity(m2))]])
     col_sizes = [n1 * n2, m1 * m2]
-    if legacy_order:
-        blocks = {k: v[::-1] for k, v in blocks.items()}
-        x_labels, z_labels = x_labels[::-1], z_labels[::-1]
-        col_sizes = col_sizes[::-1]
-    hx = f2.block_compose([blocks["x"]])
-    hz = f2.block_compose([blocks["z"]])
     n = sum(col_sizes)
     bands = [
-        Band(f2.zeros(hz.shape[0], n), hz, ["0", "0"], z_labels),
-        Band(hx, f2.zeros(hx.shape[0], n), x_labels, ["0", "0"]),
+        Band(f2.zeros(hz.shape[0], n), hz, ["0", "0"], ["I@H2", "H1T@I"]),
+        Band(hx, f2.zeros(hx.shape[0], n), ["H1@I", "I@H2T"], ["0", "0"]),
     ]
     return BlockTaggedCss("HGP", bands, col_sizes,
                           metadata={"inputs": [list(h1.shape), list(h2.shape)]})
@@ -369,15 +327,17 @@ def cphr(c: BlockTaggedCss, kind: str, row_bands: tuple[int, int],
         validate: Re-verify commutation of the result (default True).
 
     Returns:
-        A new tagged code; the input is untouched.  Applying the same swap
-        twice restores the input bit-exactly.
+        A new tagged code without syndrome checks (a rotation invalidates
+        them; callers attach new ones); the input is untouched.  Applying
+        the same swap twice restores the input's bands bit-exactly.
 
     Raises:
-        CommutationBrokenError: if the rotated stabilizers anticommute.
+        css.CommutationBrokenError: if the rotated stabilizers anticommute.
     """
     if kind not in ("T1", "T2"):
         raise ValueError("kind must be 'T1' or 'T2'")
     out = c.copy()
+    out.hsx = out.hsz = None
     offs = out.col_offsets
     j = col_band - 1
     if not 0 <= j < len(out.col_sizes):
@@ -411,7 +371,8 @@ def bsh(bundle: SehgpBundle) -> BlockTaggedCss:
     The T2 swap rotates bands 2 and 3, the T1 swap bands 1 and 4, all in
     the big middle column block.  Each syndrome-check band is the next
     boundary map of the product complex whose image the corresponding
-    syndrome band lies in, so the annihilation identities hold exactly.
+    syndrome band lies in, so the annihilation identities hold exactly
+    (validate() checks them).
     """
     # the two swaps jointly rotate every band's middle block; only the
     # composite is a qubit-local basis change, so validation waits for it
@@ -436,8 +397,6 @@ def bsh(bundle: SehgpBundle) -> BlockTaggedCss:
         [None, f2.kron(d2j.T, ik2), None, None],
         [None, None, f2.kron(ij0, d1k), f2.kron(d1j, ik0)],
     ])
-    assert not f2.mat_mul(hsx, c.stab_x).any(), "hsx must annihilate the X side"
-    assert not f2.mat_mul(hsz, c.stab_z).any(), "hsz must annihilate the Z side"
     c.hsx, c.hsz = hsx, hsz
     c.metadata["syndrome_checks_exact"] = True
     c.metadata["hsx_labels"] = [
@@ -485,9 +444,8 @@ def ssh(base: ClassicalCode) -> SehgpBundle:
     if not premise:
         meta["warning"] = "identical-code premise violated; closed-form parameter identities not guaranteed"
     tagged = BlockTaggedCss("SSH", bands, col_sizes, metadata=meta)
-    hx = tagged.css.hx
-    hz = tagged.css.hz
-    q = ChainComplex([hz.T.copy(), hx])
+    c = tagged.css
+    q = ChainComplex([c.hz.T.copy(), c.hx])
     q.validate()
     return SehgpBundle(q=q, tagged=tagged, base=(base,), j=jc, k=None)
 
@@ -560,8 +518,8 @@ def rsh(bundle: SehgpBundle, which: int) -> BlockTaggedCss:
         Band(f2.zeros(hz.shape[0], n), hz, ["0", "0"], list(zlabels)),
         Band(hx, f2.zeros(hx.shape[0], n), list(xlabels), ["0", "0"]),
     ]
-    hsx = f2.row_space_complement(hx.T)
-    hsz = f2.row_space_complement(hz.T)
+    hsx = f2.kernel_basis(hx.T)
+    hsz = f2.kernel_basis(hz.T)
     meta = dict(src.metadata)
     meta.pop("swaps", None)
     meta["syndrome_checks_exact"] = True
@@ -578,8 +536,8 @@ def brsh(bundle: SehgpBundle, which: int) -> BlockTaggedCss:
     big = 2 if which == 1 else 1
     out = cphr(c, "T2", (1, 2), big)
     out.family = f"BRSH{which}"
-    out.hsx = f2.row_space_complement(out.stab_x.T)
-    out.hsz = f2.row_space_complement(out.stab_z.T)
+    out.hsx = f2.kernel_basis(out.stab_x.T)
+    out.hsz = f2.kernel_basis(out.stab_z.T)
     out.metadata["syndrome_checks_numeric"] = True
     return out
 
@@ -597,6 +555,19 @@ def xzzx3d(n: int) -> BlockTaggedCss:
     c = bssh(classical.repetition_closed_loop(n))
     c.family = "XZZX3D"
     return c
+
+
+def code_distance(c: CssCode, max_weight: int):
+    """Minimum logical Pauli weight of the whole code, up to max_weight.
+
+    Unpaired codes take the cheaper per-sector kernel/coset search;
+    paired codes run the symplectic search over all Pauli patterns.
+    """
+    if c.paired:
+        return pauli_distance(c.stab_x, c.stab_z, max_weight)
+    vals = [d for d in (css.distance(c, kind, max_weight) for kind in "XZ")
+            if not isinstance(d, LowerBound)]
+    return min(vals) if vals else LowerBound(max_weight)
 
 
 def pauli_distance(stab_x, stab_z, max_weight: int):

@@ -1,8 +1,13 @@
-"""CSS stabilizer codes as paired GF(2) blocks.
+"""The one stabilizer code type: paired GF(2) check blocks.
 
-A code is (hx, hz) with hx hz^T = 0; hx rows detect Z errors, hz rows
-detect X errors.  Optional syndrome-check matrices hsx/hsz protect the
-measured syndromes themselves (hsx annihilates hx, hsz annihilates hz).
+A CSS code is (hx, hz) with hx hz^T = 0; hx rows detect Z errors, hz rows
+detect X errors.  A rotated (XZZX-like) code is stored in the same two
+blocks with paired rows: row i of hx and row i of hz are the X and Z parts
+of one stabilizer, and commutation is the symplectic condition.  Every
+check, count, search and decoder runs on this type; stab_x/stab_z give
+the symplectic view of either kind.  Optional syndrome-check matrices
+hsx/hsz protect the measured syndromes themselves (hsx annihilates hx,
+hsz annihilates hz).
 """
 from __future__ import annotations
 
@@ -18,6 +23,10 @@ from .classical import UNDEFINED, LowerBound
 
 class CssValidationError(ValueError):
     """Raised for anticommuting stabilizers or broken syndrome checks."""
+
+
+class CommutationBrokenError(CssValidationError):
+    """Raised when two stabilizers anticommute (e.g. after a block swap)."""
 
 
 class NoLogicalsError(ValueError):
@@ -89,8 +98,8 @@ class CssCode:
     """Paired check blocks plus optional syndrome checks and metadata.
 
     Attributes:
-        hx: X-type checks (detect Z errors).
-        hz: Z-type checks (detect X errors).
+        hx: X-type checks (detect Z errors), or the X parts of paired rows.
+        hz: Z-type checks (detect X errors), or the Z parts of paired rows.
         hsx: Optional checks on the hx syndrome (hsx @ hx = 0).
         hsz: Optional checks on the hz syndrome (hsz @ hz = 0).
         metadata: Free-form dict (family name, premise flags, d_s, ...).
@@ -107,8 +116,24 @@ class CssCode:
     def n(self) -> int:
         return self.hx.shape[1]
 
-    def check_counts(self) -> tuple[int, int]:
-        return self.hx.shape[0], self.hz.shape[0]
+    @property
+    def paired(self) -> bool:
+        """True when row i of hx and row i of hz form one stabilizer."""
+        return bool(self.metadata.get("paired_rows"))
+
+    @property
+    def stab_x(self) -> np.ndarray:
+        """X parts of the measured stabilizers: hx, or [hx; 0] unpaired."""
+        if self.paired:
+            return self.hx
+        return np.concatenate([self.hx, f2.zeros(self.hz.shape[0], self.n)])
+
+    @property
+    def stab_z(self) -> np.ndarray:
+        """Z parts of the measured stabilizers: hz, or [0; hz] unpaired."""
+        if self.paired:
+            return self.hz
+        return np.concatenate([f2.zeros(self.hx.shape[0], self.n), self.hz])
 
     def stabilizer_weight(self) -> int:
         """Max row weight across both blocks (reported, never enforced)."""
@@ -117,29 +142,29 @@ class CssCode:
 
     def __repr__(self):
         fam = self.metadata.get("family", "css")
-        return f"<CssCode {fam} n={self.n} checks={self.check_counts()}>"
+        return f"<CssCode {fam} n={self.n} checks={self.stab_x.shape[0]}>"
 
 
 def validate_css(c: CssCode) -> None:
     """Check commutation and (when exact) syndrome-check annihilation.
 
     Raises:
-        CssValidationError: naming the first offending row pair, or the
-            failing syndrome-check block.
+        CommutationBrokenError: naming the first anticommuting row pair.
+        CssValidationError: on a qubit-count mismatch or a failing
+            syndrome-check block.
     """
     if c.hx.shape[1] != c.hz.shape[1]:
         raise CssValidationError(
             f"qubit count mismatch: hx has {c.hx.shape[1]} cols, hz {c.hz.shape[1]}")
-    if c.metadata.get("paired_rows"):
-        # rotated code: row i of hx and row i of hz are one stabilizer;
-        # commutation is the symplectic condition m + m^T = 0, m = hx hz^T
-        m = f2.mat_mul(c.hx, c.hz.T)
-        comm = m ^ m.T
-    else:
-        comm = f2.mat_mul(c.hx, c.hz.T)
+    comm = f2.mat_mul(c.hx, c.hz.T)
+    if c.paired:
+        # row i of hx and row i of hz are one stabilizer; commutation is
+        # the symplectic condition m + m^T = 0, m = hx hz^T
+        comm = comm ^ comm.T
     if comm.any():
         i, j = map(int, np.argwhere(comm)[0])
-        raise CssValidationError(f"anticommuting stabilizers: hx row {i}, hz row {j}")
+        raise CommutationBrokenError(
+            f"anticommuting stabilizers: hx row {i}, hz row {j}")
     if c.metadata.get("syndrome_checks_exact", True):
         if c.hsx is not None and f2.mat_mul(c.hsx, c.hx).any():
             raise CssValidationError("hsx does not annihilate hx")
@@ -148,12 +173,10 @@ def validate_css(c: CssCode) -> None:
 
 
 def logical_count(c: CssCode) -> int:
-    """k = n - rank(hz) - rank(hx); for rotated paired-row codes the two
-    blocks are halves of one generator set and the joint rank is used."""
-    validate_css(c)
-    if c.metadata.get("paired_rows"):
-        return c.n - f2.rank(np.concatenate([c.hx, c.hz], axis=1))
-    return c.n - f2.rank(c.hz) - f2.rank(c.hx)
+    """k = n - rank([stab_x | stab_z]), which is n - rank(hx) - rank(hz)
+    for an unpaired code.  Does not validate; callers that need a valid
+    code call validate_css first."""
+    return c.n - f2.rank(np.concatenate([c.stab_x, c.stab_z], axis=1))
 
 
 def syndrome(c: CssCode, e: PauliError) -> Syndrome:
@@ -167,7 +190,7 @@ def distance(c: CssCode, kind: str, max_weight: int):
     """Minimum weight of a kernel element outside the opposite row space.
 
     Args:
-        c: The code (must validate, k >= 1).
+        c: An unpaired code with k >= 1.
         kind: 'X' scans ker hx minus rowspace(hz); 'Z' the mirror.
         max_weight: Search cap; supports are enumerated by increasing
             weight, each kernel hit tested for stabilizer-coset exclusion.

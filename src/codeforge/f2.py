@@ -215,20 +215,6 @@ def block_compose(layout) -> np.ndarray:
     return out
 
 
-def row_space_complement(m) -> np.ndarray:
-    """Deterministic basis of the orthogonal complement of the row space.
-
-    Args:
-        m: Matrix with n columns.
-
-    Returns:
-        B with B @ m.T = 0 and rank(m) + B.shape[0] = n.  B is the canonical
-        RREF kernel basis of m's row space viewed as a check matrix, so the
-        output is reproducible.
-    """
-    return kernel_basis(m)
-
-
 def solve(m, s) -> np.ndarray | None:
     """One solution x of m @ x = s over GF(2), or None if inconsistent.
 

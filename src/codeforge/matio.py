@@ -1,4 +1,4 @@
-"""Matrix interchange formats: MacKay alist and a plain dense format.
+"""Matrix interchange: the MacKay alist format.
 
 alist layout (1-based indices, zero-padded to the max degree):
     line 1: N M            (columns, rows)
@@ -7,9 +7,6 @@ alist layout (1-based indices, zero-padded to the max degree):
     line 4: M row degrees
     next N lines: row indices of the ones in each column
     next M lines: column indices of the ones in each row
-
-Dense layout: first line "rows cols", then one line per row of
-space-separated 0/1 characters.
 """
 from __future__ import annotations
 
@@ -52,7 +49,8 @@ def read_alist(path) -> np.ndarray:
     flat token stream, padded positions hold 0.
 
     Raises:
-        ValueError: on truncated files or out-of-range indices.
+        ValueError: on truncated files, out-of-range or duplicate indices,
+            or row lists that disagree with the column lists.
     """
     with open(path) as fh:
         tokens = [int(t) for t in fh.read().split()]
@@ -73,39 +71,18 @@ def read_alist(path) -> np.ndarray:
     row_deg = take(rows)
     m = f2.zeros(rows, cols)
     for j in range(cols):
-        entries = take(max_dv)
-        for r in entries[: col_deg[j]]:
+        entries = take(max_dv)[: col_deg[j]]
+        if len(set(entries)) != col_deg[j]:
+            raise ValueError(f"column {j}: degree {col_deg[j]} does not match "
+                             f"its distinct row indices {entries}")
+        for r in entries:
             if not 1 <= r <= rows:
                 raise ValueError(f"column {j}: row index {r} out of range")
             m[r - 1, j] = 1
     for i in range(rows):
-        entries = take(max_dc)
-        for c in entries[: row_deg[i]]:
-            if not 1 <= c <= cols:
-                raise ValueError(f"row {i}: column index {c} out of range")
-            if not m[i, c - 1]:
-                raise ValueError(f"row {i}: entry ({i},{c - 1}) missing from column lists")
+        entries = sorted(take(max_dc)[: row_deg[i]])
+        have = (np.nonzero(m[i])[0] + 1).tolist()
+        if len(have) != row_deg[i] or entries != have:
+            raise ValueError(f"row {i}: degree {row_deg[i]} and columns "
+                             f"{entries} disagree with the column lists {have}")
     return m
-
-
-def write_dense(m, path) -> None:
-    """Write a matrix in the plain dense format."""
-    m = f2.as_f2(m)
-    with open(path, "w") as fh:
-        fh.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for row in m:
-            fh.write(" ".join(str(int(b)) for b in row) + "\n")
-
-
-def read_dense(path) -> np.ndarray:
-    """Read a matrix written by write_dense."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ValueError(f"truncated dense matrix file: {path}")
-    rows, cols = int(tokens[0]), int(tokens[1])
-    body = tokens[2:]
-    if len(body) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(body)}")
-    flat = np.array([int(t) for t in body], dtype=np.uint8)
-    return f2.as_f2(flat.reshape(rows, cols))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import f2
 from .classical import LowerBound
-from .css import CssCode, PauliError
+from .css import PauliError
 
 
 def quarter_square(x: int) -> Fraction:
@@ -112,9 +112,11 @@ class StabilizerModel:
 
       * coset membership matrix (annihilator of the generator rows), used
         for reduced weights and logical detection;
-      * the syndrome map and its Pauli column matcher, for data decoding;
+      * the Pauli column matcher of the syndrome map, for data decoding;
       * the valid-syndrome annihilator, the numeric stand-in for the
         syndrome-check matrices, for syndrome repair.
+
+    The syndrome map [zpart | xpart] acts on errors written as (ex | ez).
     """
 
     def __init__(self, xpart, zpart):
@@ -123,6 +125,7 @@ class StabilizerModel:
         if self.xpart.shape != self.zpart.shape:
             raise ValueError("X and Z parts must have identical shape")
         self.m, self.n = self.xpart.shape
+        self.syndrome_map = np.concatenate([self.zpart, self.xpart], axis=1)
         self._coset = None
         self._decode = None
         self._meta = None
@@ -130,14 +133,6 @@ class StabilizerModel:
     @classmethod
     def from_code(cls, code) -> "StabilizerModel":
         """Build from a CssCode or any object with stab_x/stab_z sides."""
-        if isinstance(code, CssCode):
-            if code.metadata.get("paired_rows"):
-                return cls(code.hx, code.hz)
-            mx, mz = code.hx.shape[0], code.hz.shape[0]
-            n = code.n
-            xpart = np.concatenate([code.hx, f2.zeros(mz, n)])
-            zpart = np.concatenate([f2.zeros(mx, n), code.hz])
-            return cls(xpart, zpart)
         return cls(code.stab_x, code.stab_z)
 
     def syndrome(self, e: PauliError) -> np.ndarray:
@@ -161,8 +156,7 @@ class StabilizerModel:
 
     def _decode_tools(self):
         if self._decode is None:
-            smap = np.concatenate([self.zpart, self.xpart], axis=1)
-            cols = f2.columns_as_ints(smap)
+            cols = f2.columns_as_ints(self.syndrome_map)
             entries = []
             for q in range(self.n):
                 cx, cz = cols[q], cols[self.n + q]
@@ -177,8 +171,7 @@ class StabilizerModel:
         readout means matching K s with few flipped outcome bits.
         """
         if self._meta is None:
-            smap = np.concatenate([self.zpart, self.xpart], axis=1)
-            ann = f2.kernel_basis(smap.T)
+            ann = f2.kernel_basis(self.syndrome_map.T)
             cols = f2.columns_as_ints(ann)
             self._meta = (ann, SupportMatcher(
                 [(i, i, cols[i]) for i in range(self.m)]))
@@ -355,8 +348,7 @@ def decode_residual(model: StabilizerModel, e: PauliError, u: np.ndarray,
     return e * e_hat
 
 
-def single_shot_trial(code, e: PauliError, u: np.ndarray,
-                      decoder: str = "two_stage", f=quarter_square,
+def single_shot_trial(code, e: PauliError, u: np.ndarray, f=quarter_square,
                       budget: int = 4, model: StabilizerModel | None = None):
     """One noisy-readout decode: (residual reduced weight, bound met).
 
@@ -369,13 +361,10 @@ def single_shot_trial(code, e: PauliError, u: np.ndarray,
         code: CssCode or banded code with stab_x/stab_z.
         e: Injected data error.
         u: Outcome flip vector, one bit per measured check.
-        decoder: Only "two_stage" is implemented.
         f: Single-shot bound function.
         budget: Weight cap for all three searches.
         model: Optional prebuilt StabilizerModel (reuse across trials).
     """
-    if decoder != "two_stage":
-        raise ValueError(f"unknown decoder {decoder!r}")
     model = model or StabilizerModel.from_code(code)
     u = f2.as_f2_vector(u)
     if u.shape[0] != model.m:
@@ -387,8 +376,3 @@ def single_shot_trial(code, e: PauliError, u: np.ndarray,
     bound = f(2 * int(f2.weight(u)))
     passed = (not isinstance(rw, LowerBound)) and Fraction(rw) <= bound
     return rw, passed
-
-
-def reduced_weight(code, e: PauliError, budget: int = 4):
-    """Module-level convenience for StabilizerModel.reduced_weight."""
-    return StabilizerModel.from_code(code).reduced_weight(e, budget)

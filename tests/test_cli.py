@@ -252,6 +252,24 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "build", "--base",
                        "rep:2", "--out", str(tmp_path / "x"))
     assert code == 1 and "familly" in err
+    code, _, err = run(capsys, "params", "--config")
+    assert code == 1 and err.startswith("error: ") and "--config" in err
+    assert "\n" not in err.strip()
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    # rejected while parsing, before the (missing) bundle is read
+    code, _, err = run(capsys, "simulate", "--code", str(tmp_path / "none"),
+                       "--p", "0.02", "--trials", "1", "--seed", "-1",
+                       "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and err.startswith("error: --seed")
+
+
+def test_threads_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--family", "hgp", "--base", "rep:2",
+              "--out", str(tmp_path / "x"), "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_bad_base_descriptor(tmp_path, capsys):

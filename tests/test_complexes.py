@@ -173,12 +173,3 @@ def test_transposed_involution():
     for k in (1, 2):
         assert (back.boundary(k) == c.boundary(k)).all()
     c.transposed().validate()
-
-
-def test_save_load_roundtrip(tmp_path):
-    j = complexes.tensor(ChainComplex([REP3]), ChainComplex([REP3]))
-    complexes.save_complex(j, tmp_path / "j")
-    back = complexes.load_complex(tmp_path / "j")
-    assert back.dims == j.dims
-    for k in (1, 2):
-        assert (back.boundary(k) == j.boundary(k)).all()

@@ -34,13 +34,6 @@ def test_hgp_empty_factor():
     assert t.n == 2 * 3 + 2 * 0
 
 
-def test_hgp_legacy_order_flag():
-    a = cons.hgp(REP2.h, REP2.h)
-    b = cons.hgp(REP2.h, REP2.h, legacy_order=True)
-    assert a.n == b.n
-    assert a.col_sizes == list(reversed(b.col_sizes))
-
-
 def test_sehgp_rep2_counts():
     b = sehgp2()
     b.q.validate()
@@ -97,7 +90,7 @@ def test_cphr_rejects_commutation_breaking_swap():
     # rotating only bands 2-3 of the four-band code anticommutes with the
     # untouched bands 1 and 4; only the composite of both swaps is valid
     t = sehgp2().tagged
-    with pytest.raises(cons.CommutationBrokenError):
+    with pytest.raises(css.CommutationBrokenError):
         cons.cphr(t, "T2", (2, 3), 2)
     half = cons.cphr(t, "T2", (2, 3), 2, validate=False)
     full = cons.cphr(half, "T1", (1, 4), 2)

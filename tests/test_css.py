@@ -46,7 +46,7 @@ def test_validate_qubit_mismatch():
 def test_validate_syndrome_checks():
     rep2 = classical.repetition_closed_loop(2)
     c = hgp(rep2.h, rep2.h).css
-    good = f2.row_space_complement(c.hx.T.copy())
+    good = f2.kernel_basis(c.hx.T.copy())
     css.validate_css(CssCode(c.hx, c.hz, hsx=good))
     bad = np.ones((1, c.hx.shape[0]), dtype=np.uint8)
     if f2.mat_mul(bad, c.hx).any():

@@ -226,18 +226,18 @@ def test_block_compose_empty_blocks():
 
 
 def test_row_space_complement_full_rank():
-    assert f2.row_space_complement(f2.identity(3)).shape[0] == 0
+    assert f2.kernel_basis(f2.identity(3)).shape[0] == 0
 
 
 def test_row_space_complement_chain_pair():
     a = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
-    b = f2.row_space_complement(a)
+    b = f2.kernel_basis(a)
     # frozen from exhaustive search over all 2^3 candidate rows
     assert (b == np.array([[1, 1, 1]], dtype=np.uint8)).all()
 
 
 def test_row_space_complement_hamming():
-    b = f2.row_space_complement(HAM)
+    b = f2.kernel_basis(HAM)
     assert f2.rank(b) == 4
     assert not f2.mat_mul(b, HAM.T).any()
 
@@ -246,7 +246,7 @@ def test_row_space_complement_hamming():
 @settings(max_examples=60, deadline=None)
 def test_rank_stacking(rows):
     a = np.array(rows, dtype=np.uint8)
-    b = f2.row_space_complement(a)
+    b = f2.kernel_basis(a)
     assert not f2.mat_mul(b, a.T).any()
     assert f2.rank(a) + b.shape[0] == a.shape[1]
 

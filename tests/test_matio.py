@@ -45,15 +45,15 @@ def test_alist_rejects_inconsistent_rows(tmp_path):
     p.write_text("2 2\n1 1\n1 1\n1 1\n1\n2\n2\n1\n")
     with pytest.raises(ValueError):
         matio.read_alist(p)
-
-
-def test_dense_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    m = rng.integers(0, 2, (5, 9), dtype=np.uint8)
-    p = tmp_path / "m.txt"
-    matio.write_dense(m, p)
-    assert p.read_text().splitlines()[0] == "5 9"
-    assert (matio.read_dense(p) == m).all()
+    # column lists set (1,1), (1,2) and (2,2); row 1 lists only column 1,
+    # so every row entry is found in the columns but row 1 is short
+    p.write_text("2 2\n2 1\n1 2\n1 1\n1 0\n1 2\n1\n2\n")
+    with pytest.raises(ValueError, match="row 0"):
+        matio.read_alist(p)
+    # a repeated index inflates the degree without adding an entry
+    p.write_text("2 2\n2 2\n2 1\n2 1\n1 1\n2 0\n1 1\n2 0\n")
+    with pytest.raises(ValueError, match="column 0"):
+        matio.read_alist(p)
 
 
 def test_roundtrip_random_many(tmp_path):
