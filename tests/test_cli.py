@@ -227,6 +227,27 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert summary["trials"] == 10 and summary["seed"] == 7
 
 
+# simulate on bssh rep:2 at p=0.08 (etaZ:10, qmeas=0.01, 5 trials), where
+# most repair and decode searches go to weight 4 and many exhaust it;
+# seed 7 is also the digest perfbench/reference.json records
+GOLDEN_SIMULATE_HOT = {
+    7: "3bf004907e9f7174702dbbcf33bd044a5c545e64e17f859300d74335186d6da6",
+    8: "be0ba9550ac5291f0898f7c1a8edafc58f0751d28f67500f4aaf940073cfc963",
+}
+
+
+def test_simulate_golden_hot_regime(tmp_path, capsys):
+    out = build_bundle(tmp_path, capsys, family="bssh", base="rep:2")
+    for seed, digest in GOLDEN_SIMULATE_HOT.items():
+        csv_path = tmp_path / f"hot{seed}.csv"
+        code, _, err = run(capsys, "simulate", "--code", str(out), "--p",
+                           "0.08", "--bias", "etaZ:10", "--qmeas", "0.01",
+                           "--trials", "5", "--seed", str(seed),
+                           "--out", str(csv_path))
+        assert code == 0, err
+        assert _file_sha256(csv_path) == digest, seed
+
+
 def test_simulate_bad_bias(tmp_path, capsys):
     out = build_bundle(tmp_path, capsys, family="bssh", base="rep:2")
     code, _, err = run(capsys, "simulate", "--code", str(out), "--p", "0.1",
