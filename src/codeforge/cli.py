@@ -140,9 +140,11 @@ def cmd_build(args, manifest: RunManifest) -> int:
 def cmd_params(args, manifest: RunManifest) -> int:
     if args.code:
         code = _load_code(args.code)
-    else:
+    elif args.family and args.base:
         base, _, _ = _parse_base(args.base)
         code = build_family(args.family, base).css
+    else:
+        raise ValueError("params needs --code, or both --family and --base")
     k = css.logical_count(code)
     d = cons.code_distance(code, args.max_weight)
     print(f"n={code.n} k={k} d={d}")

@@ -10,6 +10,7 @@ Bounds are compared in exact rational arithmetic; no floats.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,6 +54,23 @@ def _pack_vec(v: np.ndarray) -> int:
     return f2.columns_as_ints(f2.as_f2_vector(v).reshape(-1, 1))[0]
 
 
+_WORD = (1 << 64) - 1
+
+
+def _fold(v: int) -> int:
+    """XOR of the 64-bit words of v.
+
+    GF(2)-linear, so fold(a ^ b) == fold(a) ^ fold(b), and equal to v when
+    v fits in 64 bits.  Equal folds only make candidates: the search
+    compares full values before it accepts one.
+    """
+    f = 0
+    while v:
+        f ^= v & _WORD
+        v >>= 64
+    return f
+
+
 class SupportMatcher:
     """Weight-ordered search for entry subsets whose values XOR to a target.
 
@@ -60,39 +78,124 @@ class SupportMatcher:
     strictly increasing group ids, so at most one entry per group.  Plain
     column searches use group = column index; Pauli searches put the X, Z
     and Y columns of one qubit in the same group.
+
+    Tie-break: a support of the asked weight is the lexicographically
+    first tuple of entry indices in sorted-entry order.  So the first
+    outer entry (weight 3) or outer pair (weight 4) with any valid
+    completion wins, with the first such completion.
+
+    Cost, for n entries and a target without a support of the asked
+    weight: weight 1 is one dictionary probe and weight 2 is n of them.
+    Weight 3 meets in the middle: it looks the target XOR each entry up
+    in a table of all ~n^2/2 pairs of entries from different groups,
+    sorted by the 64-bit fold of their XOR, in one vectorised call of n
+    keys.  Each higher weight recurses on its first entry, so weight 4
+    is n such calls of up to n keys, with temporaries of about n
+    elements, and it stops at the first hit.  The pair table costs 16
+    bytes a pair and is built at the first query of weight 3 or more, so
+    searches whose hits are all of weight 1 or 2 never build it.
     """
 
     def __init__(self, entries: list[tuple[int, object, int]]):
         self.entries = sorted(entries)
-        self._singles: dict[int, list[tuple[int, object]]] | None = None
+        self._groups = [g for g, _, _ in self.entries]
+        self._values = [v for _, _, v in self.entries]
+        # _after[i]: index of the first entry in a group above entry i's
+        self._after = [bisect.bisect_right(self._groups, g)
+                       for g in self._groups]
+        self._singles: dict[int, list[int]] | None = None
+        self._pairs = None
 
-    def _single_table(self):
+    def _single_table(self) -> dict[int, list[int]]:
+        """Value -> indices of the entries holding it, in entry order."""
         if self._singles is None:
             self._singles = {}
-            for g, tag, v in self.entries:
-                self._singles.setdefault(v, []).append((g, tag))
+            for i, v in enumerate(self._values):
+                self._singles.setdefault(v, []).append(i)
         return self._singles
 
-    def find(self, target: int, weight: int, min_group: int = -1):
-        """One support of exactly the given weight, or None.
+    def _pair_table(self):
+        """(entry folds, pair keys, first and second pair indices).
 
-        Cost grows as n^(weight-1) dictionary probes; intended for small
-        weights (the scans cap at 4 or 5).
+        Holds every pair i < j of entries in different groups, sorted by
+        the fold of their XOR; pairs with equal keys stay in (i, j)
+        order, so the first exact match in a key's run is the
+        lexicographically first pair.
         """
-        if weight == 0:
-            return [] if target == 0 else None
-        if weight == 1:
-            for g, tag in self._single_table().get(target, ()):
-                if g > min_group:
-                    return [(g, tag)]
+        if self._pairs is None:
+            n = len(self._values)
+            folds = np.array([_fold(v) for v in self._values],
+                             dtype=np.uint64)
+            after = np.array(self._after, dtype=np.int32)
+            counts = n - after
+            # pairs (i, after[i]), ..., (i, n - 1) for each i in turn
+            shift = np.cumsum(counts, dtype=np.int32) - counts - after
+            first = np.repeat(np.arange(n, dtype=np.int32), counts)
+            second = np.arange(len(first), dtype=np.int32)
+            second -= shift[first]
+            keys = folds[first] ^ folds[second]
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            first = first[order]
+            second = second[order]
+            self._pairs = (folds, keys, first, second)
+        return self._pairs
+
+    def _triple(self, target: int, start: int):
+        """First support (b, c, d) with b from index `start` on: one
+        pair-table lookup of target ^ value(b) for every such b."""
+        folds, keys, first, second = self._pair_table()
+        if not len(keys):
             return None
-        for g, tag, v in self.entries:
-            if g <= min_group:
-                continue
-            rest = self.find(target ^ v, weight - 1, g)
-            if rest is not None:
-                return [(g, tag)] + rest
+        vals, after = self._values, self._after
+        q = np.uint64(_fold(target)) ^ folds[start:]
+        lo = keys.searchsorted(q)
+        # clipping is safe: lo == len(keys) means every key is below q
+        for off in (keys.take(lo, mode="clip") == q).nonzero()[0]:
+            b = start + int(off)
+            rest = target ^ vals[b]
+            p = int(lo[off])
+            while p < len(keys) and keys[p] == q[off]:
+                c, d = int(first[p]), int(second[p])
+                if c >= after[b] and vals[c] ^ vals[d] == rest:
+                    return b, c, d
+                p += 1
         return None
+
+    def _search(self, target: int, weight: int, start: int):
+        """Index tuple of the first support of the given weight that uses
+        only entries from index `start` on, or None."""
+        vals, after = self._values, self._after
+        if weight == 0:
+            return () if target == 0 else None
+        if weight == 1:
+            for i in self._single_table().get(target, ()):
+                if i >= start:
+                    return (i,)
+            return None
+        if weight == 2:
+            singles = self._single_table()
+            for i in range(start, len(vals)):
+                for j in singles.get(target ^ vals[i], ()):
+                    if j >= after[i]:
+                        return i, j
+            return None
+        if weight == 3:
+            return self._triple(target, start)
+        for i in range(start, len(vals)):
+            rest = self._search(target ^ vals[i], weight - 1, after[i])
+            if rest is not None:
+                return (i,) + rest
+        return None
+
+    def find(self, target: int, weight: int, min_group: int = -1):
+        """One support of exactly the given weight, as (group, tag) pairs
+        with groups above min_group, or None."""
+        start = bisect.bisect_right(self._groups, min_group)
+        got = self._search(target, weight, start)
+        if got is None:
+            return None
+        return [self.entries[i][:2] for i in got]
 
     def find_min(self, target: int, cap: int):
         """(weight, support) of a minimum-weight match, or (None, None)."""

@@ -34,6 +34,16 @@ def test_build_and_params(tmp_path, capsys):
     assert "n=18 k=2 d=3" in stdout
 
 
+@pytest.mark.parametrize("flags", [(), ("--family", "hgp"),
+                                   ("--base", "rep:2")])
+def test_params_names_missing_flags(capsys, flags):
+    code, _, err = run(capsys, "params", *flags)
+    assert code == 1 and err.startswith("error: ")
+    assert "\n" not in err.strip()
+    for flag in ("--code", "--family", "--base"):
+        assert flag in err
+
+
 def test_build_reports_params_with_distance(tmp_path, capsys):
     code, stdout, _ = run(capsys, "build", "--family", "hgp", "--base",
                           "rep:2", "--out", str(tmp_path / "b"),

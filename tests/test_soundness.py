@@ -1,5 +1,6 @@
 """Soundness scans, reduced weights, and the two-stage single-shot decoder."""
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,105 @@ def test_support_matcher_matches_brute(seed):
             acc ^= by_key[(g, t)]
         assert acc == target
         assert len({g for g, _ in supp}) == len(supp)
+
+
+class DfsMatcher:
+    """The recursive depth-first SupportMatcher search that the
+    meet-in-the-middle engine replaced, kept as its reference: same
+    answers, tie-break included, at n^(weight-1) dictionary probes."""
+
+    def __init__(self, entries: list[tuple[int, object, int]]):
+        self.entries = sorted(entries)
+        self._singles: dict[int, list[tuple[int, object]]] | None = None
+
+    def _single_table(self):
+        if self._singles is None:
+            self._singles = {}
+            for g, tag, v in self.entries:
+                self._singles.setdefault(v, []).append((g, tag))
+        return self._singles
+
+    def find(self, target: int, weight: int, min_group: int = -1):
+        if weight == 0:
+            return [] if target == 0 else None
+        if weight == 1:
+            for g, tag in self._single_table().get(target, ()):
+                if g > min_group:
+                    return [(g, tag)]
+            return None
+        for g, tag, v in self.entries:
+            if g <= min_group:
+                continue
+            rest = self.find(target ^ v, weight - 1, g)
+            if rest is not None:
+                return [(g, tag)] + rest
+        return None
+
+    def find_min(self, target: int, cap: int):
+        for w in range(cap + 1):
+            got = self.find(target, w)
+            if got is not None:
+                return w, got
+        return None, None
+
+
+def dfs_find_min(entries, target, cap):
+    return DfsMatcher(entries).find_min(target, cap)
+
+
+def matcher_case(seed):
+    """Entries, target, cap and one (weight, min_group) probe.
+
+    Values run from 4 to 130 bits.  Duplicates and same-group Y = X ^ Z
+    triples give many supports of one weight, so the tie-break matters.
+    Above 64 bits some values and targets differ from others by a ghost
+    r | r << 64, whose 64-bit words XOR to zero: they fold alike but are
+    not equal, so a search that trusted folds would answer wrongly.  Half
+    the targets XOR one entry from each of up to cap groups, so hits
+    occur at every weight.  Caps above 4 only come with few groups, where
+    the reference DFS stays fast on misses.
+    """
+    rng = random.Random(seed)
+    n_groups = rng.randint(1, 10) if rng.random() < 0.5 else rng.randint(
+        11, 40)
+    bits = rng.choice((4, 5, 8, 16, 63, 64, 65, 100, 130))
+
+    def ghost():
+        r = rng.getrandbits(max(0, bits - 64))
+        return r | r << 64
+
+    entries = []
+    for g in range(n_groups):
+        if rng.random() < 0.5:
+            x, z = rng.getrandbits(bits), rng.getrandbits(bits)
+            entries += [(g, "X", x), (g, "Z", z), (g, "Y", x ^ z)]
+            continue
+        for tag in range(rng.randint(1, 3)):
+            if entries and rng.random() < 0.4:
+                v = rng.choice(entries)[2] ^ rng.choice((0, ghost()))
+            else:
+                v = rng.getrandbits(bits)
+            entries.append((g, tag, v))
+    cap = rng.randint(0, 6 if n_groups <= 10 else 4)
+    target = rng.getrandbits(bits)
+    if rng.random() < 0.5:
+        target = rng.choice((0, 0, ghost()))
+        k = min(n_groups, rng.randint(cap // 2, cap))
+        for g in rng.sample(range(n_groups), k):
+            target ^= rng.choice([v for h, _, v in entries if h == g])
+    probe = (rng.randint(0, cap), rng.randint(-1, n_groups))
+    return entries, target, cap, probe
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=400, deadline=None)
+def test_support_matcher_matches_dfs(seed):
+    entries, target, cap, (weight, min_group) = matcher_case(seed)
+    matcher = SupportMatcher(entries)
+    assert matcher.find_min(target, cap) == dfs_find_min(entries, target,
+                                                         cap)
+    assert (matcher.find(target, weight, min_group)
+            == DfsMatcher(entries).find(target, weight, min_group))
 
 
 def brute_reduced_weight(model, e):
