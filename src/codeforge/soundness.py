@@ -6,6 +6,14 @@ exhaustively, reduces Pauli errors over their stabilizer coset, and runs
 the two-stage decoder (syndrome repair, then data decode) used by the
 single-shot experiments.
 
+All three searches run on SupportMatcher: minimum-weight sets of columns
+(or of single-qubit Paulis) whose XOR hits a target.  It answers weight
+1 and 2 from a table of single entries and weight 3 and up by meeting
+in the middle on a lazily built table of entry pairs, and among the
+supports of least weight it returns the lexicographically first one in
+sorted-entry order, so a decoder's output is fixed by its entries and
+its target alone.
+
 Bounds are compared in exact rational arithmetic; no floats.
 """
 from __future__ import annotations

@@ -91,6 +91,11 @@ class DfsMatcher:
         return self._singles
 
     def find(self, target: int, weight: int, min_group: int = -1):
+        """One support of exactly the given weight, or None.
+
+        Cost grows as n^(weight-1) dictionary probes; intended for small
+        weights (the scans cap at 4 or 5).
+        """
         if weight == 0:
             return [] if target == 0 else None
         if weight == 1:
@@ -107,6 +112,7 @@ class DfsMatcher:
         return None
 
     def find_min(self, target: int, cap: int):
+        """(weight, support) of a minimum-weight match, or (None, None)."""
         for w in range(cap + 1):
             got = self.find(target, w)
             if got is not None:
@@ -131,8 +137,7 @@ def matcher_case(seed):
     the reference DFS stays fast on misses.
     """
     rng = random.Random(seed)
-    n_groups = rng.randint(1, 10) if rng.random() < 0.5 else rng.randint(
-        11, 40)
+    n_groups = rng.randint(*rng.choice(((1, 10), (11, 40))))
     bits = rng.choice((4, 5, 8, 16, 63, 64, 65, 100, 130))
 
     def ghost():
