@@ -318,6 +318,10 @@ def main(argv=None) -> int:
                 setattr(args, name, float(getattr(args, name)))
         if args.seed is not None and not 0 <= args.seed < 2 ** 128:
             raise ValueError(f"--seed must be in [0, 2**128), got {args.seed}")
+        for name in ("trials", "t", "max_weight"):
+            if getattr(args, name, 0) < 0:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= 0, "
+                                 f"got {getattr(args, name)}")
         manifest = RunManifest(command=["forge"] + argv,
                                config_hash=_config_hash(cfg),
                                version=__version__, seed=args.seed)

@@ -575,77 +575,33 @@ def pauli_distance(stab_x, stab_z, max_weight: int):
 
     Works on paired-row stabilizers: a candidate (ex, ez) is undetected iff
     stab_x @ ez + stab_z @ ex = 0, and logical iff (ex|ez) lies outside the
-    row space of [stab_x | stab_z].  Candidates are enumerated by support
-    with all 3^w Pauli patterns and tested in batches.
+    row space of [stab_x | stab_z].  For each weight in turn, one
+    SupportMatcher lists every undetected support (the X, Z and Y
+    syndrome columns of a qubit form one group), and the whole shell is
+    tested for row-space membership in one batch.
 
     Returns:
         Exact distance if found, else LowerBound(max_weight).
     """
-    import itertools
-
     stab_x = f2.as_f2(stab_x)
     stab_z = f2.as_f2(stab_z)
     n = stab_x.shape[1]
     tester = f2.RowSpaceTester(np.concatenate([stab_x, stab_z], axis=1))
-    # per-qubit syndrome columns as packed ints: an X error on q triggers
-    # stab_z column q, a Z error stab_x column q, Y the XOR of both
-    col_x = f2.columns_as_ints(stab_z)
-    col_z = f2.columns_as_ints(stab_x)
-    cols = [[(q, "X", col_x[q]), (q, "Z", col_z[q]), (q, "Y", col_x[q] ^ col_z[q])]
-            for q in range(n)]
-    flat = [entry for group in cols for entry in group]
-
-    def quiet_supports(wgt):
-        """Yield [(qubit, pauli), ...] lists whose syndrome columns XOR to 0,
-        over strictly increasing qubit indices."""
-        if wgt == 1:
-            for q, p, v in flat:
-                if v == 0:
-                    yield [(q, p)]
-        elif wgt == 2:
-            by_val: dict[int, list] = {}
-            for q, p, v in flat:
-                by_val.setdefault(v, []).append((q, p))
-            for group in by_val.values():
-                for (q1, p1), (q2, p2) in itertools.combinations(group, 2):
-                    if q1 != q2:
-                        yield [(q1, p1), (q2, p2)]
-        elif wgt == 3:
-            by_val = {}
-            for q, p, v in flat:
-                by_val.setdefault(v, []).append((q, p))
-            for (q1, p1, v1), (q2, p2, v2) in itertools.combinations(flat, 2):
-                if q1 == q2:
-                    continue
-                for q3, p3 in by_val.get(v1 ^ v2, ()):
-                    if q3 > max(q1, q2):
-                        yield [(q1, p1), (q2, p2), (q3, p3)]
-        elif wgt == 4:
-            pair_val: dict[int, list] = {}
-            for (q1, p1, v1), (q2, p2, v2) in itertools.combinations(flat, 2):
-                if q1 < q2:
-                    pair_val.setdefault(v1 ^ v2, []).append((q1, p1, q2, p2))
-            for (q3, p3, v3), (q4, p4, v4) in itertools.combinations(flat, 2):
-                if q3 >= q4:
-                    continue
-                for q1, p1, q2, p2 in pair_val.get(v3 ^ v4, ()):
-                    if q2 < q3:
-                        yield [(q1, p1), (q2, p2), (q3, p3), (q4, p4)]
-        else:
-            raise ValueError("pauli_distance search supports weight <= 4")
-
+    # an X error on q triggers stab_z column q, a Z error stab_x column q
+    matcher = classical.SupportMatcher.for_paulis(
+        np.concatenate([stab_z, stab_x], axis=1))
+    qubit = np.array([q for q, _, _ in matcher.entries], dtype=np.int64)
+    xbit = np.array([p in "XY" for _, p, _ in matcher.entries], dtype=np.uint8)
+    zbit = np.array([p in "ZY" for _, p, _ in matcher.entries], dtype=np.uint8)
     for wgt in range(1, max_weight + 1):
-        hits = []
-        for support in quiet_supports(wgt):
-            v = np.zeros(2 * n, dtype=np.uint8)
-            for q, p in support:
-                if p in ("X", "Y"):
-                    v[q] = 1
-                if p in ("Z", "Y"):
-                    v[n + q] = 1
-            hits.append(v)
-        if hits:
-            member = tester.contains_batch(np.array(hits, dtype=np.uint8))
-            if not member.all():
-                return wgt
+        supp = matcher.supports(wgt)
+        if not len(supp):
+            continue
+        # a support holds one entry per qubit, so no bit is written twice
+        hits = np.zeros((len(supp), 2 * n), dtype=np.uint8)
+        rows = np.arange(len(supp))[:, None]
+        hits[rows, qubit[supp]] = xbit[supp]
+        hits[rows, n + qubit[supp]] = zbit[supp]
+        if not tester.contains_batch(hits).all():
+            return wgt
     return LowerBound(max_weight)

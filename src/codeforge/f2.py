@@ -3,6 +3,12 @@
 Matrices are numpy uint8 arrays with entries in {0, 1}; all arithmetic is
 mod 2 (XOR).  Empty matrices (0 rows or 0 cols) are legal throughout and
 act as identities for block composition.
+
+mat_mul multiplies through float32 BLAS and reduces mod 2 afterwards.
+Every partial sum of a 0/1 product is an integer no larger than the
+inner dimension, and float32 holds every integer below 2**24 exactly, so
+the result is exact while the inner dimension stays below 2**24; larger
+products are refused.  Row reduction works on uint8 rows with numpy XOR.
 """
 from __future__ import annotations
 
@@ -50,6 +56,10 @@ def weight(v) -> int:
     return int(np.count_nonzero(np.asarray(v)))
 
 
+# float32 represents every integer up to 2**24 exactly
+_EXACT_F32 = 2 ** 24
+
+
 def mat_mul(a, b) -> np.ndarray:
     """GF(2) matrix product.
 
@@ -58,17 +68,23 @@ def mat_mul(a, b) -> np.ndarray:
         b: Right matrix, shape (r, n).
 
     Returns:
-        a @ b reduced mod 2, shape (m, n).
+        a @ b reduced mod 2, shape (m, n).  Computed as a float32 BLAS
+        product reduced mod 2, which is exact because every partial sum
+        is an integer of at most r < 2**24.
 
     Raises:
-        ValueError: on an inner-dimension mismatch.
+        ValueError: on an inner-dimension mismatch, or when r >= 2**24,
+            where float32 sums would stop being exact.
     """
     a = as_f2(a)
     b = as_f2(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    # int64 accumulate then reduce; desk-scale sizes never overflow
-    return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
+    if a.shape[1] >= _EXACT_F32:
+        raise ValueError(f"inner dimension {a.shape[1]} >= 2**24: float32 "
+                         f"sums would not be exact")
+    prod = a.astype(np.float32) @ b.astype(np.float32)
+    return (prod % 2).astype(np.uint8)
 
 
 def mat_vec(a, v) -> np.ndarray:

@@ -53,7 +53,12 @@ class NoiseModel:
 
         eta_z may be float('inf') (pure Z noise); eta_z = 0.5 recovers the
         depolarizing split.
+
+        Raises:
+            ValueError: if eta_z is negative or NaN.
         """
+        if not eta_z >= 0:
+            raise ValueError(f"eta_z must be >= 0, got {eta_z}")
         if eta_z == float("inf"):
             return cls(p, 0.0, 0.0, p, q_meas)
         pz = p * eta_z / (1.0 + eta_z)

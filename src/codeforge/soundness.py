@@ -6,27 +6,26 @@ exhaustively, reduces Pauli errors over their stabilizer coset, and runs
 the two-stage decoder (syndrome repair, then data decode) used by the
 single-shot experiments.
 
-All three searches run on SupportMatcher: minimum-weight sets of columns
-(or of single-qubit Paulis) whose XOR hits a target.  It answers weight
-1 and 2 from a table of single entries and weight 3 and up by meeting
-in the middle on a lazily built table of entry pairs, and among the
-supports of least weight it returns the lexicographically first one in
-sorted-entry order, so a decoder's output is fixed by its entries and
-its target alone.
+All three searches run on classical.SupportMatcher: minimum-weight sets
+of columns (or of single-qubit Paulis) whose XOR hits a target.  It
+answers weight 1 and 2 from a table of single entries and weight 3 and
+up by meeting in the middle on a lazily built table of entry pairs, and
+among the supports of least weight it returns the lexicographically
+first one in sorted-entry order, so a decoder's output is fixed by its
+entries and its target alone.  The scan lists achievable syndromes with
+the same engine.
 
 Bounds are compared in exact rational arithmetic; no floats.
 """
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import f2
-from .classical import LowerBound
+from .classical import LowerBound, SupportMatcher
 from .css import PauliError
 
 
@@ -60,158 +59,6 @@ class LemmaContradictionError(AssertionError):
 def _pack_vec(v: np.ndarray) -> int:
     """Pack a binary vector into an int, consistent with columns_as_ints."""
     return f2.columns_as_ints(f2.as_f2_vector(v).reshape(-1, 1))[0]
-
-
-_WORD = (1 << 64) - 1
-
-
-def _fold(v: int) -> int:
-    """XOR of the 64-bit words of v.
-
-    GF(2)-linear, so fold(a ^ b) == fold(a) ^ fold(b), and equal to v when
-    v fits in 64 bits.  Equal folds only make candidates: the search
-    compares full values before it accepts one.
-    """
-    f = 0
-    while v:
-        f ^= v & _WORD
-        v >>= 64
-    return f
-
-
-class SupportMatcher:
-    """Weight-ordered search for entry subsets whose values XOR to a target.
-
-    Entries are (group, tag, packed-int) triples; a valid support uses
-    strictly increasing group ids, so at most one entry per group.  Plain
-    column searches use group = column index; Pauli searches put the X, Z
-    and Y columns of one qubit in the same group.
-
-    Tie-break: a support of the asked weight is the lexicographically
-    first tuple of entry indices in sorted-entry order.  So the first
-    outer entry (weight 3) or outer pair (weight 4) with any valid
-    completion wins, with the first such completion.
-
-    Cost, for n entries and a target without a support of the asked
-    weight: weight 1 is one dictionary probe and weight 2 is n of them.
-    Weight 3 meets in the middle: it looks the target XOR each entry up
-    in a table of all ~n^2/2 pairs of entries from different groups,
-    sorted by the 64-bit fold of their XOR, in one vectorised call of n
-    keys.  Each higher weight recurses on its first entry, so weight 4
-    is n such calls of up to n keys, with temporaries of about n
-    elements, and it stops at the first hit.  The pair table costs 16
-    bytes a pair and is built at the first query of weight 3 or more, so
-    searches whose hits are all of weight 1 or 2 never build it.
-    """
-
-    def __init__(self, entries: list[tuple[int, object, int]]):
-        self.entries = sorted(entries)
-        self._groups = [g for g, _, _ in self.entries]
-        self._values = [v for _, _, v in self.entries]
-        # _after[i]: index of the first entry in a group above entry i's
-        self._after = [bisect.bisect_right(self._groups, g)
-                       for g in self._groups]
-        self._singles: dict[int, list[int]] | None = None
-        self._pairs = None
-
-    def _single_table(self) -> dict[int, list[int]]:
-        """Value -> indices of the entries holding it, in entry order."""
-        if self._singles is None:
-            self._singles = {}
-            for i, v in enumerate(self._values):
-                self._singles.setdefault(v, []).append(i)
-        return self._singles
-
-    def _pair_table(self):
-        """(entry folds, pair keys, first and second pair indices).
-
-        Holds every pair i < j of entries in different groups, sorted by
-        the fold of their XOR; pairs with equal keys stay in (i, j)
-        order, so the first exact match in a key's run is the
-        lexicographically first pair.
-        """
-        if self._pairs is None:
-            n = len(self._values)
-            folds = np.array([_fold(v) for v in self._values],
-                             dtype=np.uint64)
-            after = np.array(self._after, dtype=np.int32)
-            counts = n - after
-            # pairs (i, after[i]), ..., (i, n - 1) for each i in turn
-            shift = np.cumsum(counts, dtype=np.int32) - counts - after
-            first = np.repeat(np.arange(n, dtype=np.int32), counts)
-            second = np.arange(len(first), dtype=np.int32)
-            second -= shift[first]
-            keys = folds[first] ^ folds[second]
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            first = first[order]
-            second = second[order]
-            self._pairs = (folds, keys, first, second)
-        return self._pairs
-
-    def _triple(self, target: int, start: int):
-        """First support (b, c, d) with b from index `start` on: one
-        pair-table lookup of target ^ value(b) for every such b."""
-        folds, keys, first, second = self._pair_table()
-        if not len(keys):
-            return None
-        vals, after = self._values, self._after
-        q = np.uint64(_fold(target)) ^ folds[start:]
-        lo = keys.searchsorted(q)
-        # clipping is safe: lo == len(keys) means every key is below q
-        for off in (keys.take(lo, mode="clip") == q).nonzero()[0]:
-            b = start + int(off)
-            rest = target ^ vals[b]
-            p = int(lo[off])
-            while p < len(keys) and keys[p] == q[off]:
-                c, d = int(first[p]), int(second[p])
-                if c >= after[b] and vals[c] ^ vals[d] == rest:
-                    return b, c, d
-                p += 1
-        return None
-
-    def _search(self, target: int, weight: int, start: int):
-        """Index tuple of the first support of the given weight that uses
-        only entries from index `start` on, or None."""
-        vals, after = self._values, self._after
-        if weight == 0:
-            return () if target == 0 else None
-        if weight == 1:
-            for i in self._single_table().get(target, ()):
-                if i >= start:
-                    return (i,)
-            return None
-        if weight == 2:
-            singles = self._single_table()
-            for i in range(start, len(vals)):
-                for j in singles.get(target ^ vals[i], ()):
-                    if j >= after[i]:
-                        return i, j
-            return None
-        if weight == 3:
-            return self._triple(target, start)
-        for i in range(start, len(vals)):
-            rest = self._search(target ^ vals[i], weight - 1, after[i])
-            if rest is not None:
-                return (i,) + rest
-        return None
-
-    def find(self, target: int, weight: int, min_group: int = -1):
-        """One support of exactly the given weight, as (group, tag) pairs
-        with groups above min_group, or None."""
-        start = bisect.bisect_right(self._groups, min_group)
-        got = self._search(target, weight, start)
-        if got is None:
-            return None
-        return [self.entries[i][:2] for i in got]
-
-    def find_min(self, target: int, cap: int):
-        """(weight, support) of a minimum-weight match, or (None, None)."""
-        for w in range(cap + 1):
-            got = self.find(target, w)
-            if got is not None:
-                return w, got
-        return None, None
 
 
 class StabilizerModel:
@@ -257,22 +104,12 @@ class StabilizerModel:
     def _coset_tools(self):
         if self._coset is None:
             member = f2.kernel_basis(self._gens())
-            cols = f2.columns_as_ints(member)
-            entries = []
-            for q in range(self.n):
-                cx, cz = cols[q], cols[self.n + q]
-                entries += [(q, "X", cx), (q, "Z", cz), (q, "Y", cx ^ cz)]
-            self._coset = (member, SupportMatcher(entries))
+            self._coset = (member, SupportMatcher.for_paulis(member))
         return self._coset
 
     def _decode_tools(self):
         if self._decode is None:
-            cols = f2.columns_as_ints(self.syndrome_map)
-            entries = []
-            for q in range(self.n):
-                cx, cz = cols[q], cols[self.n + q]
-                entries += [(q, "X", cx), (q, "Z", cz), (q, "Y", cx ^ cz)]
-            self._decode = SupportMatcher(entries)
+            self._decode = SupportMatcher.for_paulis(self.syndrome_map)
         return self._decode
 
     def _meta_tools(self):
@@ -283,9 +120,7 @@ class StabilizerModel:
         """
         if self._meta is None:
             ann = f2.kernel_basis(self.syndrome_map.T)
-            cols = f2.columns_as_ints(ann)
-            self._meta = (ann, SupportMatcher(
-                [(i, i, cols[i]) for i in range(self.m)]))
+            self._meta = (ann, SupportMatcher.for_columns(ann))
         return self._meta
 
     def is_stabilizer(self, e: PauliError) -> bool:
@@ -367,9 +202,13 @@ def soundness_scan(syndrome_map, t: int, f=quarter_square,
                    cap: int | None = None) -> SoundnessReport:
     """Exhaustive (t, f) soundness check of one binary map.
 
-    Enumerates every achievable syndrome of weight <= t (achievability is
-    a packed-int annihilator test, so the full weight shell is cheap) and
-    compares its minimum preimage weight against f.
+    Enumerates every achievable syndrome of weight <= t and compares its
+    minimum preimage weight against f.  A syndrome s is achievable iff
+    ach @ s = 0 for the annihilator ach of the image, so the achievable
+    syndromes of weight w are the zero-XOR supports of weight w of the
+    columns of ach.  One SupportMatcher lists them in lexicographic
+    order, with vectorised table joins rather than a walk over all
+    C(m, w) supports, so the full weight shell is cheap.
 
     Args:
         syndrome_map: The map d; errors live on its columns.
@@ -385,11 +224,8 @@ def soundness_scan(syndrome_map, t: int, f=quarter_square,
     m = d.shape[0]
     if cap is None:
         cap = int(f(t)) + 2
-    # s is achievable iff ach @ s = 0
-    ach = f2.columns_as_ints(f2.kernel_basis(d.T))
     unit = f2.columns_as_ints(f2.identity(m))
-    matcher = SupportMatcher(
-        [(j, j, v) for j, v in enumerate(f2.columns_as_ints(d))])
+    matcher = SupportMatcher.for_columns(d)
     report = SoundnessReport(t_scanned=t, f_name=getattr(f, "fname", "custom"))
     report.per_weight[0] = 0
 
@@ -411,13 +247,10 @@ def soundness_scan(syndrome_map, t: int, f=quarter_square,
             report.violations.append(
                 (tuple(tag for _, tag in pre), ws, w))
 
+    achievable = SupportMatcher.for_columns(f2.kernel_basis(d.T))
     for ws in range(1, t + 1):
-        for supp in itertools.combinations(range(m), ws):
-            acc = 0
-            for i in supp:
-                acc ^= ach[i]
-            if acc == 0:
-                consider(supp)
+        for supp in achievable.supports(ws).tolist():
+            consider(supp)
     return report
 
 

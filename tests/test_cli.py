@@ -264,6 +264,12 @@ def test_simulate_bad_bias(tmp_path, capsys):
                        "--bias", "etaX:3", "--trials", "1",
                        "--out", str(tmp_path / "x.csv"))
     assert code == 1 and "etaZ" in err
+    for bias in ("etaZ:-1", "etaZ:nan"):
+        code, _, err = run(capsys, "simulate", "--code", str(out), "--p",
+                           "0.1", "--bias", bias, "--trials", "1",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and err.startswith("error: eta_z must be >= 0")
+        assert "\n" not in err.strip()
 
 
 def test_config_file_defaults(tmp_path, capsys):
@@ -294,6 +300,39 @@ def test_negative_seed_rejected(tmp_path, capsys):
                        "--p", "0.02", "--trials", "1", "--seed", "-1",
                        "--out", str(tmp_path / "x.csv"))
     assert code == 1 and err.startswith("error: --seed")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("build", "--family", "hgp", "--base", "rep:2", "--max-weight", "-2"),
+     "--max-weight"),
+    (("params", "--family", "hgp", "--base", "rep:2", "--max-weight", "-1"),
+     "--max-weight"),
+    (("simulate", "--p", "0.02", "--trials", "-3"), "--trials"),
+    (("soundness", "--t", "-1"), "--t"),
+])
+def test_negative_flag_rejected(tmp_path, capsys, argv, flag):
+    # rejected while parsing, before the (missing) bundle is read
+    command, *rest = argv
+    paths = {"build": ("--out", str(tmp_path / "b")),
+             "params": (),
+             "simulate": ("--code", str(tmp_path / "none"),
+                          "--out", str(tmp_path / "x.csv")),
+             "soundness": ("--code", str(tmp_path / "none"),
+                           "--report", str(tmp_path / "r.csv"))}[command]
+    code, out, err = run(capsys, command, *rest, *paths)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag} must be >= 0")
+    assert "\n" not in err.strip()
+    assert not (tmp_path / "b").exists()
+
+
+def test_negative_flag_from_config_rejected(tmp_path, capsys):
+    cfg = tmp_path / "forge.cfg"
+    cfg.write_text("trials = -3\n")
+    code, _, err = run(capsys, "--config", str(cfg), "simulate", "--code",
+                       str(tmp_path / "none"), "--p", "0.02", "--out",
+                       str(tmp_path / "x.csv"))
+    assert code == 1 and err.startswith("error: --trials must be >= 0")
 
 
 def test_threads_flag_is_gone(tmp_path):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codeforge import classical, css, f2
 from codeforge import constructions as cons
@@ -274,6 +276,35 @@ def test_pauli_distance_matches_brute():
     rot = cons.bssh(REP2)
     assert (cons.pauli_distance(rot.stab_x, rot.stab_z, 2)
             == brute_pauli_distance(rot.stab_x, rot.stab_z, 2) == 2)
+
+
+def random_commuting_stabilizers(rng, n, m):
+    """Up to m random paired rows (x | z) on n qubits that pairwise
+    commute: rows that anticommute with an earlier one are redrawn."""
+    xs, zs = [], []
+    for _ in range(50 * m):
+        if len(xs) == m:
+            break
+        x, z = rng.integers(0, 2, (2, n), dtype=np.uint8)
+        if all((x @ z2 + z @ x2) % 2 == 0 for x2, z2 in zip(xs, zs)):
+            xs.append(x)
+            zs.append(z)
+    return (np.array(xs, dtype=np.uint8).reshape(-1, n),
+            np.array(zs, dtype=np.uint8).reshape(-1, n))
+
+
+@given(st.integers(0, 2 ** 30))
+@settings(max_examples=60, deadline=None)
+def test_pauli_distance_matches_brute_on_random_stabilizers(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    # nearly n generators leave few logicals, so distances above 1 occur
+    m = int(rng.integers(max(0, n - 3), n + 1))
+    sx, sz = random_commuting_stabilizers(rng, n, m)
+    cap = int(rng.integers(1, 6))
+    want = brute_pauli_distance(sx, sz, cap)
+    got = cons.pauli_distance(sx, sz, cap)
+    assert got == (LowerBound(cap) if want is None else want)
 
 
 def test_pauli_distance_lower_bound():

@@ -76,6 +76,25 @@ def test_mat_mul_shape_error():
         f2.mat_mul(f2.identity(2), f2.identity(3))
 
 
+def test_mat_mul_rejects_inexact_inner_dimension():
+    # float32 sums stop being exact at 2**24; empty outer sizes keep the
+    # operands unallocated
+    a = np.zeros((0, 2 ** 24), dtype=np.uint8)
+    b = np.zeros((2 ** 24, 0), dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"2\*\*24"):
+        f2.mat_mul(a, b)
+
+
+def test_mat_mul_dense_all_ones_parity():
+    # every entry sums 4099 ones, past the point where narrow
+    # accumulators round or wrap; all entries equal one naive dot product
+    a = np.ones((64, 4099), dtype=np.uint8)
+    b = np.ones((4099, 64), dtype=np.uint8)
+    want = naive_mul(a[:1], b[:, :1])[0, 0]
+    assert want == 1
+    assert (f2.mat_mul(a, b) == want).all()
+
+
 @given(mats, mats)
 @settings(max_examples=60, deadline=None)
 def test_mat_mul_matches_naive(a_rows, b_rows):

@@ -1,5 +1,6 @@
 """Soundness scans, reduced weights, and the two-stage single-shot decoder."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from codeforge.classical import LowerBound
 from codeforge.complexes import ChainComplex
 from codeforge.css import CssCode, PauliError
 from codeforge.soundness import (F_BY_NAME, LemmaContradictionError,
-                                 StabilizerModel, SupportMatcher, direct_sum,
+                                 SoundnessReport, StabilizerModel,
+                                 SupportMatcher, direct_sum,
                                  inheritance_check, quarter_cube,
                                  quarter_square, single_shot_trial,
                                  soundness_scan)
@@ -178,6 +180,45 @@ def test_support_matcher_matches_dfs(seed):
             == DfsMatcher(entries).find(target, weight, min_group))
 
 
+def brute_supports(entries, weight, target):
+    """Oracle for SupportMatcher.supports: every index tuple into the
+    sorted entries, in combinations order, with one entry per group and
+    values XOR-ing to target."""
+    entries = sorted(entries)
+    out = []
+    for combo in itertools.combinations(range(len(entries)), weight):
+        if len({entries[i][0] for i in combo}) != weight:
+            continue
+        acc = 0
+        for i in combo:
+            acc ^= entries[i][2]
+        if acc == target:
+            out.append(combo)
+    return out
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(("zero", "case", "hit")))
+@settings(max_examples=200, deadline=None)
+def test_support_matcher_supports_match_combinations(seed, kind):
+    entries, target, _, _ = matcher_case(seed)
+    rng = random.Random(seed)
+    weight = rng.randint(0, 5)
+    # keep the oracle's walk over combinations near 10^5
+    while math.comb(len(entries), weight) > 10 ** 5:
+        weight -= 1
+    if kind == "zero":
+        target = 0
+    elif kind == "hit":
+        groups = sorted({g for g, _, _ in entries})
+        target = 0
+        for g in rng.sample(groups, min(weight, len(groups))):
+            target ^= rng.choice([v for h, _, v in entries if h == g])
+    got = SupportMatcher(entries).supports(weight, target)
+    assert got.shape == (len(got), weight)
+    assert [tuple(row) for row in got.tolist()] == brute_supports(
+        entries, weight, target)
+
+
 def brute_reduced_weight(model, e):
     """Exhaust the full generator span (rank kept small by the fixtures)."""
     gens = np.concatenate([model.xpart, model.zpart], axis=1)
@@ -260,6 +301,73 @@ def test_scan_flags_distant_pair_violation():
     rep = soundness_scan(d, t=2, f=quarter_square)
     assert not rep.clean
     assert any(ws == 2 for _, ws, _ in rep.violations)
+
+
+def combinations_scan(syndrome_map, t, f=quarter_square, cap=None):
+    """The soundness scan as it was before SupportMatcher.supports listed
+    its achievable syndromes: a walk over all C(m, w) supports of each
+    weight, kept as the reference for the whole report, violation order
+    included."""
+    d = f2.as_f2(syndrome_map)
+    m = d.shape[0]
+    if cap is None:
+        cap = int(f(t)) + 2
+    ach = f2.columns_as_ints(f2.kernel_basis(d.T))
+    unit = f2.columns_as_ints(f2.identity(m))
+    matcher = SupportMatcher(
+        [(j, j, v) for j, v in enumerate(f2.columns_as_ints(d))])
+    report = SoundnessReport(t_scanned=t, f_name=getattr(f, "fname", "custom"))
+    report.per_weight[0] = 0
+
+    def consider(supp):
+        target = 0
+        for i in supp:
+            target ^= unit[i]
+        ws = len(supp)
+        w, pre = matcher.find_min(target, cap)
+        bound = f(ws)
+        if w is None:
+            report.partial = True
+            report.violations.append((tuple(supp), ws, LowerBound(cap)))
+            return
+        report.per_weight[ws] = max(report.per_weight.get(ws, 0), w)
+        report.max_ratio = max(report.max_ratio,
+                               Fraction(w) / bound if bound else Fraction(0))
+        if w > bound:
+            report.violations.append(
+                (tuple(tag for _, tag in pre), ws, w))
+
+    for ws in range(1, t + 1):
+        for supp in itertools.combinations(range(m), ws):
+            acc = 0
+            for i in supp:
+                acc ^= ach[i]
+            if acc == 0:
+                consider(supp)
+    return report
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_scan_matches_combinations_scan(seed):
+    rng = np.random.default_rng(seed)
+    m, n = (int(x) for x in rng.integers(1, 10, 2))
+    d = (rng.random((m, n)) < rng.uniform(0.1, 0.6)).astype(np.uint8)
+    t = int(rng.integers(0, 6))
+    f = (quarter_square, quarter_cube)[int(rng.integers(0, 2))]
+    cap = None if rng.random() < 0.7 else int(rng.integers(0, 4))
+    assert (soundness_scan(d, t, f, cap)
+            == combinations_scan(d, t, f, cap))
+
+
+def test_scan_matches_combinations_scan_rsh1_rep2():
+    c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1).css
+    d = StabilizerModel.from_code(c).syndrome_map
+    # past t = 3 the default preimage cap makes every miss a long search
+    for t, cap in ((0, None), (1, None), (2, None), (3, None), (4, 2)):
+        want = combinations_scan(d, t, cap=cap)
+        assert soundness_scan(d, t, cap=cap) == want
+        assert want.violations or t < 2
 
 
 def test_scan_reports_partial_when_cap_hits():
