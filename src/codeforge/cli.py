@@ -322,13 +322,17 @@ def main(argv=None) -> int:
             if getattr(args, name, 0) < 0:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= 0, "
                                  f"got {getattr(args, name)}")
+        # build reads --max-weight 0 as "no distance search"
+        for name in ("trials", "max_weight"):
+            if getattr(args, name, 1) == 0 and args.command != "build":
+                raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
         manifest = RunManifest(command=["forge"] + argv,
                                config_hash=_config_hash(cfg),
                                version=__version__, seed=args.seed)
         return args.func(args, manifest)
     except SystemExit:
         raise
-    except (ValueError, OSError, KeyError, IndexError) as exc:
+    except (ValueError, OSError, KeyError, IndexError, MemoryError) as exc:
         msg = str(exc).replace("\n", " ") or exc.__class__.__name__
         print(f"error: {msg}", file=sys.stderr)
         return 1

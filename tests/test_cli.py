@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from codeforge import __version__
+from codeforge import __version__, cli
 from codeforge.cli import FAMILIES, main
 
 
@@ -333,6 +333,41 @@ def test_negative_flag_from_config_rejected(tmp_path, capsys):
                        str(tmp_path / "none"), "--p", "0.02", "--out",
                        str(tmp_path / "x.csv"))
     assert code == 1 and err.startswith("error: --trials must be >= 0")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("params", "--family", "hgp", "--base", "rep:2", "--max-weight", "0"),
+     "--max-weight"),
+    (("simulate", "--p", "0.02", "--trials", "0", "--code", "none",
+      "--out", "x.csv"), "--trials"),
+])
+def test_zero_flag_rejected(tmp_path, capsys, monkeypatch, argv, flag):
+    # params would print a vacuous d=> 0, simulate a rate of 0 trials
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be >= 1\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_zero_flag_from_config_rejected(tmp_path, capsys):
+    cfg = tmp_path / "forge.cfg"
+    cfg.write_text("trials = 0\n")
+    code, _, err = run(capsys, "--config", str(cfg), "simulate", "--code",
+                       str(tmp_path / "none"), "--p", "0.02", "--out",
+                       str(tmp_path / "x.csv"))
+    assert code == 1 and err == "error: --trials must be >= 1\n"
+
+
+def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(family, base):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_family", exhausted)
+    code, out, err = run(capsys, "build", "--family", "bsh", "--base",
+                         "rep:2", "--out", str(tmp_path / "b"))
+    assert code == 1 and out == ""
+    assert err == "error: MemoryError\n"
 
 
 def test_threads_flag_is_gone(tmp_path):

@@ -76,13 +76,16 @@ def test_mat_mul_shape_error():
         f2.mat_mul(f2.identity(2), f2.identity(3))
 
 
-def test_mat_mul_rejects_inexact_inner_dimension():
-    # float32 sums stop being exact at 2**24; empty outer sizes keep the
-    # operands unallocated
+def test_mat_mul_exact_past_float32_range():
+    # inner size 2**24 and beyond, where float32 sums stop being exact;
+    # empty outer sizes keep the first pair unallocated
     a = np.zeros((0, 2 ** 24), dtype=np.uint8)
     b = np.zeros((2 ** 24, 0), dtype=np.uint8)
-    with pytest.raises(ValueError, match=r"2\*\*24"):
-        f2.mat_mul(a, b)
+    got = f2.mat_mul(a, b)
+    assert got.shape == (0, 0) and got.dtype == np.uint8
+    row = np.zeros((1, 2 ** 24 + 1), dtype=np.uint8)
+    row[0, [0, 2 ** 23, 2 ** 24]] = 1
+    assert f2.mat_mul(row, row.T.copy()).tolist() == [[1]]
 
 
 def test_mat_mul_dense_all_ones_parity():
@@ -95,16 +98,34 @@ def test_mat_mul_dense_all_ones_parity():
     assert (f2.mat_mul(a, b) == want).all()
 
 
-@given(mats, mats)
+@st.composite
+def sparse_operands(draw):
+    """(a, b, gather): seeded 0/1 operands with output widths at the
+    64-bit word edges, a's density anywhere in [0, 1] with some rows
+    forced to zero, and a gather chunk size, small ones so that a's
+    nonzeros span several chunks."""
+    m, r = draw(st.integers(0, 70)), draw(st.integers(0, 70))
+    n = draw(st.sampled_from([63, 64, 65, 127, 128, 129])
+             | st.integers(0, 200))
+    dens_a = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    dens_b = draw(st.floats(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = (rng.random((m, r)) < dens_a).astype(np.uint8)
+    a[draw(st.lists(st.integers(0, m - 1), max_size=m)) if m else []] = 0
+    b = (rng.random((r, n)) < dens_b).astype(np.uint8)
+    return a, b, draw(st.sampled_from([1, 3, 2 ** 20]))
+
+
+@given(sparse_operands())
 @settings(max_examples=60, deadline=None)
-def test_mat_mul_matches_naive(a_rows, b_rows):
-    a = np.array(a_rows, dtype=np.uint8)
-    b = np.array(b_rows, dtype=np.uint8)
-    if a.shape[1] != b.shape[0]:
-        b = b.T
-    if a.shape[1] != b.shape[0]:
-        return
-    assert (f2.mat_mul(a, b) == naive_mul(a, b)).all()
+def test_mat_mul_matches_naive(operands):
+    a, b, gather = operands
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(f2, "_GATHER_WORDS", gather)
+        got = f2.mat_mul(a, b)
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    assert got.shape == (a.shape[0], b.shape[1])
+    assert (got == naive_mul(a, b)).all()
 
 
 def test_rank_zero():
@@ -270,15 +291,6 @@ def test_rank_stacking(rows):
     assert f2.rank(a) + b.shape[0] == a.shape[1]
 
 
-def test_solve_consistent_and_not():
-    a = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
-    x = f2.solve(a, np.array([1, 0], dtype=np.uint8))
-    assert x is not None
-    assert (f2.mat_vec(a, x) == [1, 0]).all()
-    sing = np.array([[1, 1], [1, 1]], dtype=np.uint8)
-    assert f2.solve(sing, np.array([1, 0], dtype=np.uint8)) is None
-
-
 def test_row_space_tester_against_span():
     rng = np.random.default_rng(11)
     m = rng.integers(0, 2, (4, 8), dtype=np.uint8)
@@ -291,10 +303,16 @@ def test_row_space_tester_against_span():
         assert tester.contains(v) == (bytes(v) in span)
 
 
+def int_to_vector(x, length):
+    """Inverse of the packing used by columns_as_ints (big-endian bits)."""
+    raw = np.frombuffer(x.to_bytes((length + 7) // 8, "big"), dtype=np.uint8)
+    return np.unpackbits(raw)[:length]
+
+
 def test_columns_as_ints_roundtrip():
     ints = f2.columns_as_ints(HAM)
     assert len(ints) == 7
     for j, val in enumerate(ints):
-        assert (f2.int_to_vector(val, 3) == HAM[:, j]).all()
+        assert (int_to_vector(val, 3) == HAM[:, j]).all()
     # column 6 is (1,1,1): big-endian bit packing
     assert ints[6] == f2.columns_as_ints(np.ones((3, 1), dtype=np.uint8))[0]
