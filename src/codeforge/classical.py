@@ -1,7 +1,6 @@
-"""Classical linear codes over GF(2): parameters, transpose codes, stock
-constructions, the direct product of two codes, and SupportMatcher, the
-one support-search engine that distance searches, soundness scans and
-the single-shot decoder share.
+"""Classical linear codes over GF(2): parameters, the repetition codes,
+and SupportMatcher, the one support-search engine that distance
+searches, soundness scans and the single-shot decoder share.
 
 A code is the kernel of its parity-check matrix h; parameters are
 [n, k, d] with n = cols(h), k = n - rank(h), d the minimum weight of a
@@ -38,20 +37,74 @@ class LowerBound:
 
 
 _WORD = (1 << 64) - 1
+_KEY_SEED = 0x2545F4914F6CDD1D
+# left pairs per weight-4 join step; bounds the join's temporaries
+_BLOCK = 1 << 16
 
 
-def _fold(v: int) -> int:
-    """XOR of the 64-bit words of v.
+def _key_tables(nbytes: int) -> np.ndarray:
+    """(nbytes, 256) uint64 tables of the support-search key.
 
-    GF(2)-linear, so fold(a ^ b) == fold(a) ^ fold(b), and equal to v when
-    v fits in 64 bits.  Equal folds only make candidates: the search
-    compares full values before it accepts one.
+    The key of a value is the XOR over its little-endian bytes j of
+    entry [j, byte j]: a fixed pseudo-random GF(2)-linear map of all of
+    its bits to 64 bits, so key(a ^ b) == key(a) ^ key(b).  Unlike an
+    XOR of 64-bit words it does not collapse on values built from
+    repeated blocks.  Bit k of byte j owns a basis word, output
+    8j + k + 1 of splitmix64 seeded with _KEY_SEED, so a value's key does
+    not depend on the width it is padded to; entry [j, b] is the XOR of
+    the basis words of the set bits of b.
     """
-    f = 0
-    while v:
-        f ^= v & _WORD
-        v >>= 64
-    return f
+    with np.errstate(over="ignore"):
+        z = np.arange(1, 8 * nbytes + 1, dtype=np.uint64)
+        z = z * np.uint64(0x9E3779B97F4A7C15) + np.uint64(_KEY_SEED)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    basis = (z ^ (z >> np.uint64(31))).reshape(nbytes, 8)
+    tables = np.zeros((nbytes, 256), dtype=np.uint64)
+    for k in range(8):
+        tables[:, 1 << k:2 << k] = tables[:, :1 << k] ^ basis[:, k, None]
+    return tables
+
+
+class _KeyIndex:
+    """Items sorted by key, addressed directly by the keys' top bits.
+
+    Bucket b, the items whose key starts with the bits of b, is
+    keys[offsets[b]:offsets[b + 1]].  The bucket count is the least power
+    of two at or above the item count, so a bucket holds 0.5 to 1 items
+    on average.
+    """
+
+    def __init__(self, keys: np.ndarray, cols: list[np.ndarray]):
+        self.keys, self.cols = keys, cols
+        bits = max(1, (len(keys) - 1).bit_length())
+        self.shift = np.uint64(64 - bits)
+        # bucket sizes, counted a block of sorted keys at a time, then
+        # summed in place into bucket starts
+        self.offsets = np.zeros((1 << bits) + 1, dtype=np.int32)
+        for s in range(0, len(keys), _BLOCK):
+            top = (keys[s:s + _BLOCK] >> self.shift).astype(np.intp)
+            self.offsets[top[0] + 1:top[-1] + 2] += np.bincount(top - top[0])
+        np.cumsum(self.offsets, out=self.offsets)
+
+    def probe(self, q: np.ndarray):
+        """(query, item) positions of every item whose key equals a query."""
+        if not len(self.keys):
+            return np.zeros((2, 0), dtype=np.intp)
+        bucket = (q >> self.shift).astype(np.intp)
+        lo = self.offsets[bucket]
+        # keys are sorted, so a query below the first key at or after its
+        # bucket's start has no match: its bucket is empty, or starts
+        # above it (a start past the end clips to a smaller key)
+        live = (self.keys.take(lo, mode="clip") <= q).nonzero()[0]
+        lo = lo[live]
+        count = self.offsets[1:][bucket[live]] - lo
+        qi = np.repeat(live, count)
+        # item position: lo of the query's bucket plus the offset within it
+        ii = np.arange(len(qi)) + np.repeat(lo - np.cumsum(count) + count,
+                                            count)
+        same = self.keys[ii] == q[qi]
+        return qi[same], ii[same]
 
 
 class SupportMatcher:
@@ -64,26 +117,35 @@ class SupportMatcher:
 
     Two questions share one set of tables.  find and find_min answer
     with one support, the lexicographically first tuple of entry indices
-    in sorted-entry order, so the first outer entry (weight 3) or outer
-    pair (weight 4) with any valid completion wins, with the first such
-    completion.  supports lists every support of one weight.
+    in sorted-entry order.  supports lists every support of one weight,
+    in that order.
 
-    Cost, for n entries.  The pair table holds all ~n^2/2 pairs of
-    entries from different groups, sorted by the 64-bit fold of their
-    XOR, at 16 bytes a pair; it is built at the first question of weight
-    3 or more, so searches whose answers all have weight 1 or 2 never
-    build it.  find at weight 1 is one dictionary probe and at weight 2
-    n of them.  At weight 3 it looks the target XOR each entry up in the
-    pair table, in one vectorised call of n keys; each higher weight
-    recurses on its first entry, so a weight-4 miss is n such calls, with
-    temporaries of about n elements, and a hit stops at once.  supports
-    joins sorted tables in whole-array numpy calls: weight 2 is the n
-    entries against the entries sorted by fold, weight 3 the n entries
-    against the pair table, and weight 4 the pair table against itself,
-    so its time and memory grow with the ~n^2/2 pairs plus the number of
-    candidates whose folds match.  Weight 5 and up recurse on the first
-    entry, one weight-4 join per entry.  Every candidate is checked on
-    its full value, one 64-bit word at a time.
+    Cost, for n entries.  Each entry is keyed by a fixed random
+    GF(2)-linear map of its value to 64 bits (_key_tables), so a set's
+    key is the XOR of its entries' keys.
+
+    - find at weight 1 is one dictionary probe and at weight 2 n of
+      them.  A soundness scan makes thousands of such tiny searches, and
+      sending them through the key index doubled the rsh1 rep:3 scan
+      (0.11 to 0.22 s on a 2-CPU host), so the dictionary stays.
+    - Every other search is one join of key-indexed tables: weight 2
+      (for supports) joins the n entries with the entries, weight 3 the
+      n entries with the pair table, and weight 4 the pair table with
+      itself.
+    - The pair table holds all ~n^2/2 pairs of entries from different
+      groups: 8 bytes of key and two int32 indices a pair, plus an int32
+      offset per bucket of key top bits, at 0.5 to 1 pairs a bucket.  It
+      is built at the first join of weight 3 or more.
+    - A join looks each left item's query key up in its bucket, then
+      compares full keys, then groups, then full values one 64-bit word
+      at a time.
+    - The weight-4 join takes its left pairs in blocks of _BLOCK, so its
+      temporaries are bounded by the block and its matches, not by the
+      table.  Its time grows with the ~n^2/2 pairs, hit or miss.  find
+      keeps the least support of each block, and supports sorts the
+      rows of all blocks once.
+    - Weight 5 and up recurse on the first entry, one weight-4 join per
+      entry; find stops at the first entry with a completion.
     """
 
     def __init__(self, entries: list[tuple[int, object, int]]):
@@ -94,8 +156,8 @@ class SupportMatcher:
         self._after = [bisect.bisect_right(self._groups, g)
                        for g in self._groups]
         self._singles: dict[int, list[int]] | None = None
-        self._folds = None
-        self._words = None
+        self._arrays = None
+        self._by_key = None
         self._pairs = None
 
     @classmethod
@@ -122,70 +184,61 @@ class SupportMatcher:
                 self._singles.setdefault(v, []).append(i)
         return self._singles
 
-    def _fold_array(self) -> np.ndarray:
-        if self._folds is None:
-            self._folds = np.array([_fold(v) for v in self._values],
-                                   dtype=np.uint64)
-        return self._folds
-
-    def _word_table(self) -> np.ndarray:
-        """(words, n) uint64 array: row k holds the k-th 64-bit word of
-        every entry value, least significant word first."""
-        if self._words is None:
+    def _tables(self):
+        """(words, keys, after, key tables): words[k] holds the k-th 64-bit
+        word of every entry value, least significant word first; keys the
+        entries' keys (see _key_tables); after the _after list."""
+        if self._arrays is None:
             width = max((v.bit_length() for v in self._values), default=0)
-            nwords = max(1, -(-width // 64))
-            raw = b"".join(v.to_bytes(8 * nwords, "little")
-                           for v in self._values)
-            self._words = np.frombuffer(raw, dtype="<u8").reshape(
-                len(self._values), nwords).T.astype(np.uint64)
-        return self._words
+            nbytes = 8 * max(1, -(-width // 64))
+            raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little")
+                                         for v in self._values),
+                                dtype=np.uint8).reshape(-1, nbytes)
+            tables = _key_tables(nbytes)
+            keys = np.zeros(len(raw), dtype=np.uint64)
+            for j in range(nbytes):
+                keys ^= tables[j][raw[:, j]]
+            self._arrays = (raw.view("<u8").T.astype(np.uint64), keys,
+                            np.array(self._after, dtype=np.int32), tables)
+        return self._arrays
 
-    def _pair_table(self):
-        """(pair keys, first and second pair indices).
+    def _key(self, target: int) -> np.uint64:
+        """Key of a target no wider than the entries."""
+        tables = self._tables()[3]
+        raw = np.frombuffer(target.to_bytes(len(tables), "little"),
+                            dtype=np.uint8)
+        return np.bitwise_xor.reduce(tables[np.arange(len(tables)), raw])
 
-        Holds every pair i < j of entries in different groups, sorted by
-        the fold of their XOR; pairs with equal keys stay in (i, j)
-        order, so the first exact match in a key's run is the
-        lexicographically first pair.
-        """
+    def _entry_index(self) -> _KeyIndex:
+        if self._by_key is None:
+            keys = self._tables()[1]
+            order = np.argsort(keys).astype(np.int32)
+            self._by_key = _KeyIndex(keys[order], [order])
+        return self._by_key
+
+    def _pair_index(self) -> _KeyIndex:
+        """Every pair i < j of entries in different groups, indexed by
+        the key of their XOR, as (first, second) int32 columns."""
         if self._pairs is None:
-            n = len(self._values)
-            folds = self._fold_array()
-            after = np.array(self._after, dtype=np.int32)
+            _, keys, after, _ = self._tables()
+            n = len(keys)
             counts = n - after
             # pairs (i, after[i]), ..., (i, n - 1) for each i in turn
             shift = np.cumsum(counts, dtype=np.int32) - counts - after
             first = np.repeat(np.arange(n, dtype=np.int32), counts)
             second = np.arange(len(first), dtype=np.int32)
-            second -= shift[first]
-            keys = folds[first] ^ folds[second]
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            first = first[order]
-            second = second[order]
-            self._pairs = (keys, first, second)
+            second -= np.repeat(shift, counts)
+            pair_keys = np.repeat(keys, counts)
+            pair_keys ^= keys.take(second)
+            order = np.argsort(pair_keys)
+            # gathering the keys again costs less memory than permuting
+            del pair_keys
+            first, second = first.take(order), second.take(order)
+            del order
+            pair_keys = keys.take(first)
+            pair_keys ^= keys.take(second)
+            self._pairs = _KeyIndex(pair_keys, [first, second])
         return self._pairs
-
-    def _triple(self, target: int, start: int):
-        """First support (b, c, d) with b from index `start` on: one
-        pair-table lookup of target ^ value(b) for every such b."""
-        keys, first, second = self._pair_table()
-        if not len(keys):
-            return None
-        vals, after = self._values, self._after
-        q = np.uint64(_fold(target)) ^ self._fold_array()[start:]
-        lo = keys.searchsorted(q)
-        # clipping is safe: lo == len(keys) means every key is below q
-        for off in (keys.take(lo, mode="clip") == q).nonzero()[0]:
-            b = start + int(off)
-            rest = target ^ vals[b]
-            p = int(lo[off])
-            while p < len(keys) and keys[p] == q[off]:
-                c, d = int(first[p]), int(second[p])
-                if c >= after[b] and vals[c] ^ vals[d] == rest:
-                    return b, c, d
-                p += 1
-        return None
 
     def _search(self, target: int, weight: int, start: int):
         """Index tuple of the first support of the given weight that uses
@@ -205,8 +258,13 @@ class SupportMatcher:
                     if j >= after[i]:
                         return i, j
             return None
-        if weight == 3:
-            return self._triple(target, start)
+        if weight <= 4:
+            best = None
+            for got in self._blocks(target, weight, start):
+                if len(got):
+                    row = tuple(got[np.lexsort(got.T[::-1])[0]].tolist())
+                    best = row if best is None else min(best, row)
+            return best
         for i in range(start, len(vals)):
             rest = self._search(target ^ vals[i], weight - 1, after[i])
             if rest is not None:
@@ -245,75 +303,74 @@ class SupportMatcher:
     def _all(self, target: int, weight: int, start: int) -> np.ndarray:
         """supports(weight, target), restricted to entries from index
         `start` on."""
-        n = len(self._values)
         if weight == 0:
             return np.zeros((1 if target == 0 else 0, 0), dtype=np.int64)
         if weight >= 5:
             vals, after = self._values, self._after
             parts = [np.zeros((0, weight), dtype=np.int64)]
-            for a in range(start, n):
+            for a in range(start, len(vals)):
                 rest = self._all(target ^ vals[a], weight - 1, after[a])
                 if len(rest):
                     parts.append(np.column_stack(
                         [np.full(len(rest), a, dtype=np.int64), rest]))
             return np.concatenate(parts)
-        folds = self._fold_array()
-        if weight == 1:
-            fold = np.uint64(_fold(target))
-            hit = start + (folds[start:] == fold).nonzero()[0]
-            return self._exact(hit[:, None], target)
-        tail = (folds[start:], [np.arange(start, n)])
-        if weight == 2:
-            order = np.argsort(folds, kind="stable")
-            return self._join(target, tail, (folds[order], [order]))
-        keys, first, second = self._pair_table()
-        pairs = (keys, [first, second])
-        if weight == 3:
-            return self._join(target, tail, pairs)
-        if not start:
-            # a masked copy would cost another 16 bytes a pair
-            return self._join(target, pairs, pairs)
-        keep = first >= start
-        return self._join(target, (keys[keep], [first[keep], second[keep]]),
-                          pairs)
+        got = np.concatenate([np.zeros((0, weight), dtype=np.int64),
+                              *self._blocks(target, weight, start)])
+        return got[np.lexsort(got.T[::-1])]
 
-    def _join(self, target: int, left, right) -> np.ndarray:
+    def _blocks(self, target: int, weight: int, start: int):
+        """Yield, unsorted and in parts, every support of weight 1 to 4
+        that uses only entries from index `start` on."""
+        words, keys, _, _ = self._tables()
+        if target >> (64 * len(words)):
+            return
+        tkey = self._key(target)
+        if weight == 1:
+            hit = start + (keys[start:] == tkey).nonzero()[0]
+            yield self._exact(hit[:, None], target)
+            return
+        mine = (keys[start:], [np.arange(start, len(keys), dtype=np.int32)])
+        if weight == 2:
+            yield self._join(target, tkey, mine, self._entry_index())
+            return
+        pairs = self._pair_index()
+        if weight == 3:
+            yield self._join(target, tkey, mine, pairs)
+            return
+        first, second = pairs.cols
+        for s in range(0, len(pairs.keys), _BLOCK):
+            block = slice(s, s + _BLOCK)
+            left = (pairs.keys[block], [first[block], second[block]])
+            if start:
+                keep = first[block] >= start
+                left = (left[0][keep], [c[keep] for c in left[1]])
+            yield self._join(target, tkey, left, pairs)
+
+    def _join(self, target: int, tkey, left, right: _KeyIndex) -> np.ndarray:
         """Supports made of one left item followed by one right item.
 
-        Each side is (fold keys, index columns); the right keys are
-        sorted.  Every left item is matched with the run of right items
-        whose key is the target's fold XOR its own, and a combination is
-        kept when the right item starts in a group above the left item's
-        last one and the values XOR to the target exactly.
+        The left side is (keys, index columns).  Every left item is
+        matched with the right items whose key is tkey XOR its own, and a
+        combination is kept when the right item starts in a group above
+        the left item's last one and the values XOR to the target.
         """
         lkeys, lcols = left
-        rkeys, rcols = right
-        q = lkeys ^ np.uint64(_fold(target))
-        lo = rkeys.searchsorted(q, "left")
-        count = rkeys.searchsorted(q, "right") - lo
-        li = np.repeat(np.arange(len(q)), count)
-        # right index: lo of the item's run plus the offset within it
-        ri = np.arange(len(li)) + np.repeat(lo - np.cumsum(count) + count,
-                                            count)
-        after = np.array(self._after, dtype=np.int64)
-        keep = rcols[0][ri] >= after[lcols[-1][li]]
+        li, ri = right.probe(lkeys ^ tkey)
+        after = self._tables()[2]
+        keep = right.cols[0][ri] >= after.take(lcols[-1][li])
         li, ri = li[keep], ri[keep]
-        got = np.column_stack([c[li] for c in lcols]
-                              + [c[ri] for c in rcols]).astype(np.int64)
-        return self._exact(got, target)
+        return self._exact(np.column_stack([c[li] for c in lcols]
+                                           + [c[ri] for c in right.cols]),
+                           target)
 
     def _exact(self, got: np.ndarray, target: int) -> np.ndarray:
-        """The rows of got whose entry values XOR to target, sorted
-        lexicographically."""
-        words = self._word_table()
-        if target >> (64 * len(words)):
-            return got[:0]
+        """The rows of got whose entry values XOR to target, as int64."""
+        words = self._tables()[0]
         ok = np.ones(len(got), dtype=bool)
         for k, row in enumerate(words):
             want = np.uint64((target >> (64 * k)) & _WORD)
             ok &= np.bitwise_xor.reduce(row[got], axis=1) == want
-        got = got[ok]
-        return got[np.lexsort(got.T[::-1])]
+        return got[ok].astype(np.int64)
 
 
 def kernel_supports_of_weight(m, w: int):
@@ -411,11 +468,6 @@ def params(c: ClassicalCode, max_weight: int | None = None):
     return c.n, c.k, min_kernel_weight(c.h, max_weight)
 
 
-def transpose_code(c: ClassicalCode) -> ClassicalCode:
-    """The code checked by h transposed; length = rows(h)."""
-    return ClassicalCode(c.h.T.copy(), name=f"{c.name}^T" if c.name else "")
-
-
 def repetition_closed_loop(n: int) -> ClassicalCode:
     """Ring-arranged repetition code: n x n circulant with rows e_i + e_{i+1}.
 
@@ -443,27 +495,3 @@ def repetition_open(n: int) -> ClassicalCode:
         h[i, i] = 1
         h[i, i + 1] = 1
     return ClassicalCode(h, name=f"rep{n}open")
-
-
-def hamming_7_4() -> ClassicalCode:
-    """The [7,4,3] Hamming code with columns 1..7 in binary."""
-    h = f2.as_f2([
-        [0, 0, 0, 1, 1, 1, 1],
-        [0, 1, 1, 0, 0, 1, 1],
-        [1, 0, 1, 0, 1, 0, 1],
-    ])
-    return ClassicalCode(h, name="hamming74")
-
-
-def direct_product(c1: ClassicalCode, c2: ClassicalCode) -> ClassicalCode:
-    """Code of n1 x n2 matrices with columns in c1 and rows in c2.
-
-    The check matrix is the stack [h1 (x) I_{n2} ; I_{n1} (x) h2]; a kernel
-    vector reshaped row-major to (n1, n2) has every column in c1 and every
-    row in c2, and conversely.  Parameters multiply: [n1 n2, k1 k2, d1 d2].
-    """
-    upper = f2.kron(c1.h, f2.identity(c2.n))
-    lower = f2.kron(f2.identity(c1.n), c2.h)
-    h = f2.block_compose([[upper], [lower]])
-    name = f"{c1.name}x{c2.name}" if (c1.name or c2.name) else ""
-    return ClassicalCode(h, name=name)

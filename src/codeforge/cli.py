@@ -318,14 +318,13 @@ def main(argv=None) -> int:
                 setattr(args, name, float(getattr(args, name)))
         if args.seed is not None and not 0 <= args.seed < 2 ** 128:
             raise ValueError(f"--seed must be in [0, 2**128), got {args.seed}")
-        for name in ("trials", "t", "max_weight"):
-            if getattr(args, name, 0) < 0:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= 0, "
-                                 f"got {getattr(args, name)}")
         # build reads --max-weight 0 as "no distance search"
-        for name in ("trials", "max_weight"):
-            if getattr(args, name, 1) == 0 and args.command != "build":
-                raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
+        floors = {"trials": 1, "t": 0,
+                  "max_weight": 0 if args.command == "build" else 1}
+        for name, floor in floors.items():
+            if getattr(args, name, floor) < floor:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= "
+                                 f"{floor}, got {getattr(args, name)}")
         manifest = RunManifest(command=["forge"] + argv,
                                config_hash=_config_hash(cfg),
                                version=__version__, seed=args.seed)

@@ -357,9 +357,11 @@ def cphr(c: BlockTaggedCss, kind: str, row_bands: tuple[int, int],
 
 def _syndrome_distance(h_s, cap: int = 4):
     """d(h_s): min weight of a nonzero kernel element of a syndrome-check
-    matrix, by support search up to cap."""
+    matrix, by support search up to cap.  find asks for one support, so
+    no weight shell is held whole."""
+    matcher = classical.SupportMatcher.for_columns(h_s)
     for wgt in range(1, cap + 1):
-        for _ in classical.kernel_supports_of_weight(h_s, wgt):
+        if matcher.find(0, wgt) is not None:
             return wgt
     return LowerBound(cap)
 

@@ -28,7 +28,11 @@ def as_f2(m) -> np.ndarray:
     Raises:
         ValueError: if the input is not 2-D or has entries outside {0, 1}.
     """
-    a = np.ascontiguousarray(np.asarray(m, dtype=np.uint8))
+    return _checked(np.ascontiguousarray(np.asarray(m, dtype=np.uint8)))
+
+
+def _checked(a: np.ndarray) -> np.ndarray:
+    """a itself, once it is known to be a 2-D matrix of 0/1 entries."""
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size and a.max() > 1:
@@ -84,7 +88,9 @@ def mat_mul(a, b) -> np.ndarray:
         ValueError: on an inner-dimension mismatch.
     """
     a = as_f2(a)
-    b = as_f2(b)
+    # b is only read in the rows a selects, so a transposed view is
+    # packed as it is rather than copied whole
+    b = _checked(np.asarray(b, dtype=np.uint8))
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
     n = b.shape[1]

@@ -8,12 +8,13 @@ single-shot experiments.
 
 All three searches run on classical.SupportMatcher: minimum-weight sets
 of columns (or of single-qubit Paulis) whose XOR hits a target.  It
-answers weight 1 and 2 from a table of single entries and weight 3 and
-up by meeting in the middle on a lazily built table of entry pairs, and
-among the supports of least weight it returns the lexicographically
-first one in sorted-entry order, so a decoder's output is fixed by its
-entries and its target alone.  The scan lists achievable syndromes with
-the same engine.
+answers weight 1 and 2 from a dictionary of single entries, and weight
+3 and 4 by one batched join that meets in the middle on a lazily built
+table of entry pairs, addressed directly by the top bits of a random
+GF(2)-linear 64-bit key.  Among the supports of least weight it returns
+the lexicographically first one in sorted-entry order, so a decoder's
+output is fixed by its entries and its target alone.  The scan lists
+achievable syndromes with the same joins.
 
 Bounds are compared in exact rational arithmetic; no floats.
 """

@@ -1,4 +1,4 @@
-"""Classical codes: parameters, transpose codes, direct products.
+"""Classical codes: parameters, and the parameters of direct products.
 
 The direct-product parameter law is checked exhaustively over a small
 code zoo, with n and k from independent rank arithmetic and d from full
@@ -13,7 +13,23 @@ from hypothesis import strategies as st
 
 from codeforge import classical, f2
 from codeforge.classical import (UNDEFINED, ClassicalCode, LowerBound,
-                                 direct_product, params, transpose_code)
+                                 params)
+
+
+def hamming_7_4():
+    """The [7,4,3] Hamming code with columns 1..7 in binary."""
+    return ClassicalCode([[0, 0, 0, 1, 1, 1, 1],
+                          [0, 1, 1, 0, 0, 1, 1],
+                          [1, 0, 1, 0, 1, 0, 1]], name="hamming74")
+
+
+def direct_product(c1, c2):
+    """Code of n1 x n2 matrices with columns in c1 and rows in c2: the
+    check matrix stacks h1 (x) I_n2 over I_n1 (x) h2, and the parameters
+    multiply to [n1 n2, k1 k2, d1 d2]."""
+    return ClassicalCode(f2.block_compose(
+        [[f2.kron(c1.h, f2.identity(c2.n))],
+         [f2.kron(f2.identity(c1.n), c2.h)]]))
 
 
 def brute_distance(h):
@@ -40,7 +56,7 @@ def zoo():
     rng = np.random.default_rng(5)
     return [classical.repetition_closed_loop(2),
             classical.repetition_closed_loop(3),
-            classical.hamming_7_4(),
+            hamming_7_4(),
             ClassicalCode(rng.integers(0, 2, (3, 5), dtype=np.uint8),
                           name="rand35")]
 
@@ -50,7 +66,7 @@ def test_params_rep3():
 
 
 def test_params_hamming():
-    assert params(classical.hamming_7_4()) == (7, 4, 3)
+    assert params(hamming_7_4()) == (7, 4, 3)
 
 
 def test_params_trivial_code():
@@ -61,7 +77,7 @@ def test_params_trivial_code():
 
 def test_params_rejects_bad_cap():
     with pytest.raises(ValueError):
-        params(classical.hamming_7_4(), max_weight=0)
+        params(hamming_7_4(), max_weight=0)
 
 
 def test_lower_bound_flag():
@@ -71,21 +87,6 @@ def test_lower_bound_flag():
     got = classical.min_kernel_weight(h, max_weight=0, enum_limit=0)
     assert isinstance(got, LowerBound)
     assert repr(got) == "> 0"
-
-
-def test_transpose_rep_ring_self():
-    c = classical.repetition_closed_loop(4)
-    t = transpose_code(c)
-    assert params(t) == params(c) == (4, 1, 4)
-
-
-def test_transpose_full_rank():
-    c = ClassicalCode(np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8))
-    assert transpose_code(c).k == 0
-
-
-def test_transpose_zero_matrix():
-    assert transpose_code(ClassicalCode(f2.zeros(2, 2))).k == 2
 
 
 def test_repetition_closed_loop_matrix():
@@ -113,7 +114,7 @@ def test_direct_product_rep2_rep2():
 def test_direct_product_rep_hamming_fixture():
     """[21,4,9] with the upper/lower block stack H1 (x) I7 over I3 (x) H2."""
     rep = classical.repetition_open(3)
-    ham = classical.hamming_7_4()
+    ham = hamming_7_4()
     c = direct_product(rep, ham)
     upper = f2.kron(rep.h, f2.identity(7))
     lower = f2.kron(f2.identity(3), ham.h)
@@ -137,7 +138,7 @@ def test_direct_product_matrix_characterization():
     """Kernel vectors reshape to matrices with columns in c1, rows in c2,
     and every such matrix is a codeword (both directions)."""
     c1 = classical.repetition_open(3)
-    c2 = classical.hamming_7_4()
+    c2 = hamming_7_4()
     prod = direct_product(c1, c2)
     basis = f2.kernel_basis(prod.h)
     for v in basis:
@@ -181,3 +182,44 @@ def test_min_kernel_weight_matches_brute(seed):
         assert got is UNDEFINED
     else:
         assert got == want
+
+
+def search_keys(values):
+    """The support-search keys of values, from a matcher holding them."""
+    matcher = classical.SupportMatcher([(i, i, v) for i, v in
+                                        enumerate(values)])
+    return matcher._tables()[1].tolist()
+
+
+@given(st.integers(0, 2 ** 300), st.integers(0, 2 ** 300),
+       st.integers(0, 2 ** 64))
+@settings(max_examples=100, deadline=None)
+def test_key_is_linear(a, b, c):
+    ka, kb, kab, kzero = search_keys([a, b, a ^ b, 0])
+    assert kab == ka ^ kb
+    assert kzero == 0
+    # a value's key does not depend on the width of the other entries
+    assert search_keys([c]) == search_keys([c, a])[:1]
+
+
+def fold(v):
+    """XOR of the 64-bit words of v."""
+    f = 0
+    while v:
+        f ^= v & (2 ** 64 - 1)
+        v >>= 64
+    return f
+
+
+@pytest.mark.parametrize("block", [64, 128, 192])
+def test_keys_separate_kronecker_columns(block):
+    # columns built from identity blocks whose sizes are multiples of 64
+    # bits repeat their words, so their words' XOR collapses; bsh rep:4's
+    # syndrome checks are of this kind
+    rng = np.random.default_rng(block)
+    a = rng.integers(0, 2, (4, 12), dtype=np.uint8)
+    eye = f2.identity(block)
+    m = f2.block_compose([[f2.kron(a, eye), f2.kron(eye, a[:, :3])]])
+    values = f2.columns_as_ints(m)
+    assert len({fold(v) for v in values}) < len(set(values)) // 4
+    assert len(set(search_keys(values))) == len(set(values))

@@ -52,6 +52,14 @@ def test_build_reports_params_with_distance(tmp_path, capsys):
     assert "n=8 k=2 d=2" in stdout
 
 
+def test_build_bsh_rep4_syndrome_distance(tmp_path, capsys):
+    # its Kronecker-structured syndrome checks once collapsed the search
+    # keys, and the weight-4 shell asked for 163 GiB
+    out = build_bundle(tmp_path, capsys, family="bsh", base="rep:4")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["metadata"]["d_s"] == 4
+
+
 # sha256 of every bundle file of each family built from rep:2, frozen so
 # that a refactor of the code representation cannot change a byte
 GOLDEN_BUNDLES = {
@@ -321,7 +329,10 @@ def test_negative_flag_rejected(tmp_path, capsys, argv, flag):
                            "--report", str(tmp_path / "r.csv"))}[command]
     code, out, err = run(capsys, command, *rest, *paths)
     assert code == 1 and out == ""
-    assert err.startswith(f"error: {flag} must be >= 0")
+    # --trials and params --max-weight need a positive value, the rest
+    # only a non-negative one; every value below the floor names the floor
+    floor = 0 if command in ("build", "soundness") else 1
+    assert err == f"error: {flag} must be >= {floor}, got {argv[-1]}\n"
     assert "\n" not in err.strip()
     assert not (tmp_path / "b").exists()
 
@@ -332,7 +343,7 @@ def test_negative_flag_from_config_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "simulate", "--code",
                        str(tmp_path / "none"), "--p", "0.02", "--out",
                        str(tmp_path / "x.csv"))
-    assert code == 1 and err.startswith("error: --trials must be >= 0")
+    assert code == 1 and err == "error: --trials must be >= 1, got -3\n"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -346,7 +357,7 @@ def test_zero_flag_rejected(tmp_path, capsys, monkeypatch, argv, flag):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    assert err == f"error: {flag} must be >= 1\n"
+    assert err == f"error: {flag} must be >= 1, got 0\n"
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -356,7 +367,7 @@ def test_zero_flag_from_config_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "simulate", "--code",
                        str(tmp_path / "none"), "--p", "0.02", "--out",
                        str(tmp_path / "x.csv"))
-    assert code == 1 and err == "error: --trials must be >= 1\n"
+    assert code == 1 and err == "error: --trials must be >= 1, got 0\n"
 
 
 def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch):

@@ -120,12 +120,23 @@ def sparse_operands(draw):
 @settings(max_examples=60, deadline=None)
 def test_mat_mul_matches_naive(operands):
     a, b, gather = operands
+    # the same b as a transposed, non-contiguous view
+    b_view = np.ascontiguousarray(b.T).T
+    # a 2 in a row of b that no nonzero of a selects
+    unused = np.flatnonzero(~a.any(axis=0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(f2, "_GATHER_WORDS", gather)
         got = f2.mat_mul(a, b)
+        got_view = f2.mat_mul(a, b_view)
+        if unused.size and b.shape[1]:
+            bad = b.copy()
+            bad[unused[0], 0] = 2
+            with pytest.raises(ValueError):
+                f2.mat_mul(a, bad)
     assert got.dtype == np.uint8 and got.flags.c_contiguous
     assert got.shape == (a.shape[0], b.shape[1])
     assert (got == naive_mul(a, b)).all()
+    assert got_view.flags.c_contiguous and (got_view == got).all()
 
 
 def test_rank_zero():

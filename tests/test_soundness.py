@@ -1,6 +1,8 @@
 """Soundness scans, reduced weights, and the two-stage single-shot decoder."""
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -126,14 +128,40 @@ def dfs_find_min(entries, target, cap):
     return DfsMatcher(entries).find_min(target, cap)
 
 
+def search_keys(values):
+    """The support-search keys of values, from a matcher holding them."""
+    matcher = SupportMatcher([(i, i, v) for i, v in enumerate(values)])
+    return matcher._tables()[1].tolist()
+
+
+def key_ghost(rng, bits):
+    """A nonzero value below 2**bits whose search key is 0, for bits > 64.
+
+    Keys have 64 bits, so the keys of 65 values are linearly dependent;
+    the values of a dependent subset XOR to the ghost.
+    """
+    values = [rng.getrandbits(bits) for _ in range(65)]
+    pivots = {}     # leading key bit -> (key, XOR of the values behind it)
+    for k, acc in zip(search_keys(values), values):
+        while k and k.bit_length() in pivots:
+            pk, pv = pivots[k.bit_length()]
+            k, acc = k ^ pk, acc ^ pv
+        if k:
+            pivots[k.bit_length()] = (k, acc)
+        elif acc:
+            return acc
+    return key_ghost(rng, bits)
+
+
 def matcher_case(seed):
     """Entries, target, cap and one (weight, min_group) probe.
 
     Values run from 4 to 130 bits.  Duplicates and same-group Y = X ^ Z
     triples give many supports of one weight, so the tie-break matters.
-    Above 64 bits some values and targets differ from others by a ghost
-    r | r << 64, whose 64-bit words XOR to zero: they fold alike but are
-    not equal, so a search that trusted folds would answer wrongly.  Half
+    Above 64 bits some values and targets differ from others by a ghost:
+    either r | r << 64, whose 64-bit words XOR to zero, or a key_ghost,
+    whose search key is zero.  Such values share keys (or folds) but are
+    not equal, so a search that trusted keys would answer wrongly.  Half
     the targets XOR one entry from each of up to cap groups, so hits
     occur at every weight.  Caps above 4 only come with few groups, where
     the reference DFS stays fast on misses.
@@ -141,10 +169,11 @@ def matcher_case(seed):
     rng = random.Random(seed)
     n_groups = rng.randint(*rng.choice(((1, 10), (11, 40))))
     bits = rng.choice((4, 5, 8, 16, 63, 64, 65, 100, 130))
+    same_key = key_ghost(rng, bits) if bits > 64 else 0
 
     def ghost():
         r = rng.getrandbits(max(0, bits - 64))
-        return r | r << 64
+        return rng.choice((r | r << 64, same_key))
 
     entries = []
     for g in range(n_groups):
@@ -217,6 +246,32 @@ def test_support_matcher_supports_match_combinations(seed, kind):
     assert got.shape == (len(got), weight)
     assert [tuple(row) for row in got.tolist()] == brute_supports(
         entries, weight, target)
+
+
+def test_key_ghosts_are_rejected_on_value():
+    rng = random.Random(3)
+    g = key_ghost(rng, 100)
+    assert g and search_keys([g]) == [0]
+    a, b, c = (rng.getrandbits(100) for _ in range(3))
+    entries = [(0, "a", a), (1, "b", b), (2, "c", c), (3, "d", a ^ g),
+               (4, "e", b ^ c ^ g), (5, "f", a ^ b ^ c ^ g)]
+    matcher = SupportMatcher(entries)
+    for target in (0, g, a, a ^ b ^ g):
+        for weight in range(5):
+            want = brute_supports(entries, weight, target)
+            got = matcher.supports(weight, target).tolist()
+            assert [tuple(row) for row in got] == want
+            first = matcher.find(target, weight)
+            assert first == (None if not want else
+                             [matcher.entries[i][:2] for i in want[0]])
+    # keys alone would also accept {a, d}, {b, c, e}, {a, b, c, f} and
+    # more: their keys XOR to 0 but their values to g
+    keys = search_keys([v for _, _, v in entries])
+    for weight in (2, 3, 4):
+        by_key = [combo for combo in itertools.combinations(range(6), weight)
+                  if not functools.reduce(operator.xor,
+                                          [keys[i] for i in combo])]
+        assert len(by_key) > len(brute_supports(entries, weight, 0))
 
 
 def brute_reduced_weight(model, e):
