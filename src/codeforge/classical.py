@@ -40,6 +40,8 @@ _WORD = (1 << 64) - 1
 _KEY_SEED = 0x2545F4914F6CDD1D
 # left pairs per weight-4 join step; bounds the join's temporaries
 _BLOCK = 1 << 16
+# largest kernel dimension whose 2^k codewords min_kernel_weight lists
+_ENUM_LIMIT = 20
 
 
 def _key_tables(nbytes: int) -> np.ndarray:
@@ -115,10 +117,11 @@ class SupportMatcher:
     column searches use group = column index; Pauli searches put the X, Z
     and Y columns of one qubit in the same group.
 
-    Two questions share one set of tables.  find and find_min answer
+    Three questions share one set of tables.  find and find_min answer
     with one support, the lexicographically first tuple of entry indices
     in sorted-entry order.  supports lists every support of one weight,
-    in that order.
+    in that order.  least_weight gives the least weight of a zero-XOR
+    support that a caller's test accepts: every distance in the package.
 
     Cost, for n entries.  Each entry is keyed by a fixed random
     GF(2)-linear map of its value to 64 bits (_key_tables), so a set's
@@ -145,7 +148,11 @@ class SupportMatcher:
       keeps the least support of each block, and supports sorts the
       rows of all blocks once.
     - Weight 5 and up recurse on the first entry, one weight-4 join per
-      entry; find stops at the first entry with a completion.
+      entry, and give one block per first entry in increasing entry
+      order; find stops at the first entry with a completion.
+    - least_weight walks the same blocks weight by weight and stops at
+      the first block holding an accepted support, so its memory is
+      bounded by one block, not by the weight shell.
     """
 
     def __init__(self, entries: list[tuple[int, object, int]]):
@@ -258,18 +265,15 @@ class SupportMatcher:
                     if j >= after[i]:
                         return i, j
             return None
-        if weight <= 4:
-            best = None
-            for got in self._blocks(target, weight, start):
-                if len(got):
-                    row = tuple(got[np.lexsort(got.T[::-1])[0]].tolist())
-                    best = row if best is None else min(best, row)
-            return best
-        for i in range(start, len(vals)):
-            rest = self._search(target ^ vals[i], weight - 1, after[i])
-            if rest is not None:
-                return (i,) + rest
-        return None
+        best = None
+        for got in self._blocks(target, weight, start):
+            if len(got):
+                row = tuple(got[np.lexsort(got.T[::-1])[0]].tolist())
+                best = row if best is None else min(best, row)
+                if weight >= 5:
+                    # blocks come in first-entry order, one per entry
+                    break
+        return best
 
     def find(self, target: int, weight: int, min_group: int = -1):
         """One support of exactly the given weight, as (group, tag) pairs
@@ -298,31 +302,37 @@ class SupportMatcher:
         """
         if weight < 0:
             raise ValueError(f"weight must be >= 0, got {weight}")
-        return self._all(target, weight, 0)
-
-    def _all(self, target: int, weight: int, start: int) -> np.ndarray:
-        """supports(weight, target), restricted to entries from index
-        `start` on."""
         if weight == 0:
             return np.zeros((1 if target == 0 else 0, 0), dtype=np.int64)
-        if weight >= 5:
-            vals, after = self._values, self._after
-            parts = [np.zeros((0, weight), dtype=np.int64)]
-            for a in range(start, len(vals)):
-                rest = self._all(target ^ vals[a], weight - 1, after[a])
-                if len(rest):
-                    parts.append(np.column_stack(
-                        [np.full(len(rest), a, dtype=np.int64), rest]))
-            return np.concatenate(parts)
         got = np.concatenate([np.zeros((0, weight), dtype=np.int64),
-                              *self._blocks(target, weight, start)])
+                              *self._blocks(target, weight, 0)])
         return got[np.lexsort(got.T[::-1])]
 
+    def least_weight(self, cap: int, keep=None):
+        """Least w in 1..cap with a zero-XOR support of weight w, else
+        LowerBound(cap).  keep, when given, takes one join block of
+        supports (rows of entry indices) and says whether it holds one
+        that counts; the search stops at the first block where it does."""
+        for w in range(1, cap + 1):
+            for got in self._blocks(0, w, 0):
+                if len(got) and (keep is None or keep(got)):
+                    return w
+        return LowerBound(cap)
+
     def _blocks(self, target: int, weight: int, start: int):
-        """Yield, unsorted and in parts, every support of weight 1 to 4
-        that uses only entries from index `start` on."""
+        """Yield, unsorted and in parts, every support of weight >= 1 that
+        uses only entries from index `start` on.  Weight 5 and up yield
+        one part per first entry that completes, in entry order."""
         words, keys, _, _ = self._tables()
         if target >> (64 * len(words)):
+            return
+        if weight >= 5:
+            empty = np.zeros((0, weight - 1), dtype=np.int64)
+            for a in range(start, len(keys)):
+                rest = np.concatenate([empty, *self._blocks(
+                    target ^ self._values[a], weight - 1, self._after[a])])
+                if len(rest):
+                    yield np.column_stack([np.full(len(rest), a), rest])
             return
         tkey = self._key(target)
         if weight == 1:
@@ -379,6 +389,8 @@ def kernel_supports_of_weight(m, w: int):
     The supports are those of weight w whose packed columns XOR to zero,
     listed by one SupportMatcher (group = column) in lexicographic order.
     The whole weight shell is built before the first one is yielded.
+    Distance searches do not use it; they call least_weight, which stops
+    at the first join block holding a hit.
 
     Args:
         m: Check matrix.
@@ -388,14 +400,14 @@ def kernel_supports_of_weight(m, w: int):
         yield tuple(supp)
 
 
-def min_kernel_weight(m, max_weight: int | None = None,
-                      enum_limit: int = 20) -> int | LowerBound | _Undefined:
+def min_kernel_weight(m, max_weight: int | None = None):
     """Minimum weight of a nonzero kernel element of m.
 
-    Strategy: when the kernel dimension is small enough, enumerate all
-    2^k - 1 codewords from the RREF basis (gray-code order, one XOR per
-    step); otherwise search supports by increasing weight up to max_weight
-    and report a lower bound if nothing is found.
+    Strategy: when the kernel dimension is at most _ENUM_LIMIT, enumerate
+    all 2^k - 1 codewords from the RREF basis (gray-code order, one XOR
+    per step); otherwise search supports by increasing weight up to
+    max_weight (SupportMatcher.least_weight) and report a lower bound if
+    nothing is found.
 
     Returns:
         The exact distance, a LowerBound, or UNDEFINED when the kernel is
@@ -406,7 +418,7 @@ def min_kernel_weight(m, max_weight: int | None = None,
     k = basis.shape[0]
     if k == 0:
         return UNDEFINED
-    if k <= enum_limit:
+    if k <= _ENUM_LIMIT:
         best = None
         cur = np.zeros(m.shape[1], dtype=np.uint8)
         for idx in range(1, 2 ** k):
@@ -417,10 +429,7 @@ def min_kernel_weight(m, max_weight: int | None = None,
                 best = wt
         return int(best)
     cap = max_weight if max_weight is not None else m.shape[1]
-    for w in range(1, cap + 1):
-        for _ in kernel_supports_of_weight(m, w):
-            return w
-    return LowerBound(cap)
+    return SupportMatcher.for_columns(m).least_weight(cap)
 
 
 class ClassicalCode:

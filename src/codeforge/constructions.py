@@ -355,17 +355,6 @@ def cphr(c: BlockTaggedCss, kind: str, row_bands: tuple[int, int],
     return out
 
 
-def _syndrome_distance(h_s, cap: int = 4):
-    """d(h_s): min weight of a nonzero kernel element of a syndrome-check
-    matrix, by support search up to cap.  find asks for one support, so
-    no weight shell is held whole."""
-    matcher = classical.SupportMatcher.for_columns(h_s)
-    for wgt in range(1, cap + 1):
-        if matcher.find(0, wgt) is not None:
-            return wgt
-    return LowerBound(cap)
-
-
 def bsh(bundle: SehgpBundle) -> BlockTaggedCss:
     """Bias-tailored code: both CPHR swaps on the middle qubit block, plus
     the three-band disjoint syndrome-check matrices.
@@ -411,8 +400,8 @@ def bsh(bundle: SehgpBundle) -> BlockTaggedCss:
         ["0", "d2T[J]@I", "0", "0"],
         ["0", "0", "I@d1[K]", "d1[J]@I"],
     ]
-    ds_x = _syndrome_distance(hsx)
-    ds_z = _syndrome_distance(hsz)
+    ds_x, ds_z = (classical.SupportMatcher.for_columns(h).least_weight(4)
+                  for h in (hsx, hsz))
     vals = [d for d in (ds_x, ds_z) if not isinstance(d, LowerBound)]
     c.metadata["d_s"] = min(vals) if vals else ds_x
     return c
@@ -484,8 +473,8 @@ def bssh(base: ClassicalCode) -> BlockTaggedCss:
     c.metadata["syndrome_check_annihilation"] = {"hsx": bool(exact_x), "hsz": bool(exact_z)}
     c.metadata["hsx_labels"] = [["0", "I@d2T[J]"], ["I@d2T[J]", "0"]]
     c.metadata["hsz_labels"] = [["d1[J]@I", "0"], ["0", "d1[J]@I"]]
-    ds = _syndrome_distance(c.hsz)
-    c.metadata["d_s"] = ds
+    c.metadata["d_s"] = classical.SupportMatcher.for_columns(
+        c.hsz).least_weight(4)
     return c
 
 
@@ -577,10 +566,11 @@ def pauli_distance(stab_x, stab_z, max_weight: int):
 
     Works on paired-row stabilizers: a candidate (ex, ez) is undetected iff
     stab_x @ ez + stab_z @ ex = 0, and logical iff (ex|ez) lies outside the
-    row space of [stab_x | stab_z].  For each weight in turn, one
-    SupportMatcher lists every undetected support (the X, Z and Y
-    syndrome columns of a qubit form one group), and the whole shell is
-    tested for row-space membership in one batch.
+    row space of [stab_x | stab_z].  One SupportMatcher walks the
+    undetected supports by increasing weight (the X, Z and Y syndrome
+    columns of a qubit form one group); each join block is tested for
+    row-space membership in one batch, and the search stops at the first
+    block holding a non-stabilizer (SupportMatcher.least_weight).
 
     Returns:
         Exact distance if found, else LowerBound(max_weight).
@@ -595,15 +585,13 @@ def pauli_distance(stab_x, stab_z, max_weight: int):
     qubit = np.array([q for q, _, _ in matcher.entries], dtype=np.int64)
     xbit = np.array([p in "XY" for _, p, _ in matcher.entries], dtype=np.uint8)
     zbit = np.array([p in "ZY" for _, p, _ in matcher.entries], dtype=np.uint8)
-    for wgt in range(1, max_weight + 1):
-        supp = matcher.supports(wgt)
-        if not len(supp):
-            continue
+
+    def logical(supp):
         # a support holds one entry per qubit, so no bit is written twice
         hits = np.zeros((len(supp), 2 * n), dtype=np.uint8)
         rows = np.arange(len(supp))[:, None]
         hits[rows, qubit[supp]] = xbit[supp]
         hits[rows, n + qubit[supp]] = zbit[supp]
-        if not tester.contains_batch(hits).all():
-            return wgt
-    return LowerBound(max_weight)
+        return not tester.contains_batch(hits).all()
+
+    return matcher.least_weight(max_weight, logical)

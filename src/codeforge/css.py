@@ -79,21 +79,6 @@ class PauliError:
         return int(np.count_nonzero(self.ex | self.ez))
 
 
-@dataclass
-class Syndrome:
-    """Measured check outcomes: sx from Z-error bits, sz from X-error bits."""
-
-    sx: np.ndarray
-    sz: np.ndarray
-
-    def __add__(self, other: "Syndrome") -> "Syndrome":
-        return Syndrome(self.sx ^ other.sx, self.sz ^ other.sz)
-
-    @property
-    def weight(self) -> int:
-        return f2.weight(self.sx) + f2.weight(self.sz)
-
-
 class CssCode:
     """Paired check blocks plus optional syndrome checks and metadata.
 
@@ -179,21 +164,15 @@ def logical_count(c: CssCode) -> int:
     return c.n - f2.rank(np.concatenate([c.stab_x, c.stab_z], axis=1))
 
 
-def syndrome(c: CssCode, e: PauliError) -> Syndrome:
-    """sx = hx @ ez, sz = hz @ ex."""
-    if e.n != c.n:
-        raise ValueError(f"error length {e.n} != qubit count {c.n}")
-    return Syndrome(f2.mat_vec(c.hx, e.ez), f2.mat_vec(c.hz, e.ex))
-
-
 def distance(c: CssCode, kind: str, max_weight: int):
     """Minimum weight of a kernel element outside the opposite row space.
 
     Args:
         c: An unpaired code with k >= 1.
         kind: 'X' scans ker hx minus rowspace(hz); 'Z' the mirror.
-        max_weight: Search cap; supports are enumerated by increasing
-            weight, each kernel hit tested for stabilizer-coset exclusion.
+        max_weight: Search cap; SupportMatcher.least_weight walks the
+            kernel supports by increasing weight and stops at the first
+            join block with a vector outside the stabilizer coset.
 
     Returns:
         Exact distance if found within the cap, else LowerBound(max_weight).
@@ -204,18 +183,15 @@ def distance(c: CssCode, kind: str, max_weight: int):
         raise NoLogicalsError("code has no logical qubits")
     ker_of = c.hx if kind == "X" else c.hz
     excl = f2.RowSpaceTester(c.hz if kind == "X" else c.hx)
-    n = c.n
-    for w in range(1, max_weight + 1):
-        hits = []
-        for supp in classical.kernel_supports_of_weight(ker_of, w):
-            v = np.zeros(n, dtype=np.uint8)
-            v[list(supp)] = 1
-            hits.append(v)
-        if hits:
-            member = excl.contains_batch(np.array(hits, dtype=np.uint8))
-            if not member.all():
-                return w
-    return LowerBound(max_weight)
+
+    def logical(supp):
+        # entry j of a column matcher is column j
+        hits = np.zeros((len(supp), c.n), dtype=np.uint8)
+        hits[np.arange(len(supp))[:, None], supp] = 1
+        return not excl.contains_batch(hits).all()
+
+    return classical.SupportMatcher.for_columns(ker_of).least_weight(
+        max_weight, logical)
 
 
 def tanner_components(c: CssCode, kind: str) -> list[tuple[set, set]]:

@@ -194,11 +194,6 @@ class SoundnessReport:
         return not self.violations and not self.partial
 
 
-def direct_sum(a, b) -> np.ndarray:
-    """Block-diagonal stack of two maps (independent error sectors)."""
-    return f2.block_compose([[f2.as_f2(a), None], [None, f2.as_f2(b)]])
-
-
 def soundness_scan(syndrome_map, t: int, f=quarter_square,
                    cap: int | None = None) -> SoundnessReport:
     """Exhaustive (t, f) soundness check of one binary map.

@@ -15,7 +15,7 @@ from codeforge import constructions as cons
 from codeforge.classical import LowerBound
 from codeforge.complexes import ChainComplex
 from codeforge.css import PauliError
-from codeforge.soundness import (StabilizerModel, direct_sum, quarter_cube,
+from codeforge.soundness import (StabilizerModel, quarter_cube,
                                  quarter_square, single_shot_trial,
                                  soundness_scan)
 
@@ -211,7 +211,8 @@ def test_criterion_08_soundness_scans():
     lemma = all(soundness_scan(d, t=3, f=quarter_square).clean
                 for d in (j.boundary(2), j.boundary(1).T.copy()))
     b = cons.sehgp(REP2, REP2, REP2, REP2)
-    comp = soundness_scan(direct_sum(b.q.boundary(2), b.q.boundary(3).T.copy()),
+    comp = soundness_scan(f2.block_compose([[b.q.boundary(2), None],
+                                            [None, b.q.boundary(3).T.copy()]]),
                           t=2, f=quarter_square).clean
     cubic = []
     for which in (1, 2):

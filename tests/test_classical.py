@@ -81,10 +81,10 @@ def test_params_rejects_bad_cap():
 
 
 def test_lower_bound_flag():
-    # force the support-search path with a tiny cap and a huge kernel
+    # k = 29 is above the enumeration limit, so the support search runs
     h = np.zeros((1, 30), dtype=np.uint8)
     h[0, :2] = 1
-    got = classical.min_kernel_weight(h, max_weight=0, enum_limit=0)
+    got = classical.min_kernel_weight(h, max_weight=0)
     assert isinstance(got, LowerBound)
     assert repr(got) == "> 0"
 

@@ -293,9 +293,10 @@ def random_commuting_stabilizers(rng, n, m):
             np.array(zs, dtype=np.uint8).reshape(-1, n))
 
 
+@pytest.mark.parametrize("block", [classical._BLOCK, 3])
 @given(st.integers(0, 2 ** 30))
 @settings(max_examples=60, deadline=None)
-def test_pauli_distance_matches_brute_on_random_stabilizers(seed):
+def test_pauli_distance_matches_brute_on_random_stabilizers(block, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 8))
     # nearly n generators leave few logicals, so distances above 1 occur
@@ -303,8 +304,36 @@ def test_pauli_distance_matches_brute_on_random_stabilizers(seed):
     sx, sz = random_commuting_stabilizers(rng, n, m)
     cap = int(rng.integers(1, 6))
     want = brute_pauli_distance(sx, sz, cap)
-    got = cons.pauli_distance(sx, sz, cap)
+    # at block size 3 a weight-4 search (reached when every lighter
+    # undetected error is a stabilizer) walks many join blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "_BLOCK", block)
+        got = cons.pauli_distance(sx, sz, cap)
     assert got == (LowerBound(cap) if want is None else want)
+
+
+def test_distance_searches_stop_mid_shell(monkeypatch):
+    """On the 4x4 toric code (d = 4) with join blocks of 3 pairs, the
+    weight-4 shell opens with blocks holding stabilizers only: both
+    distance searches pass them and stop at a later block."""
+    monkeypatch.setattr(classical, "_BLOCK", 3)
+    batch = f2.RowSpaceTester.contains_batch
+    all_stabilizers = []
+
+    def spy(self, vs):
+        got = batch(self, vs)
+        all_stabilizers.append(bool(got.all()))
+        return got
+
+    monkeypatch.setattr(f2.RowSpaceTester, "contains_batch", spy)
+    rep4 = classical.repetition_closed_loop(4)
+    c = cons.hgp(rep4.h, rep4.h).css
+    for search in (lambda: css.distance(c, "X", 4),
+                   lambda: css.distance(c, "Z", 4),
+                   lambda: cons.pauli_distance(c.stab_x, c.stab_z, 4)):
+        all_stabilizers.clear()
+        assert search() == 4
+        assert all_stabilizers[0] and not all_stabilizers[-1]
 
 
 def test_pauli_distance_lower_bound():

@@ -18,7 +18,7 @@ from codeforge.complexes import ChainComplex
 from codeforge.css import CssCode, PauliError
 from codeforge.soundness import (F_BY_NAME, LemmaContradictionError,
                                  SoundnessReport, StabilizerModel,
-                                 SupportMatcher, direct_sum,
+                                 SupportMatcher,
                                  inheritance_check, quarter_cube,
                                  quarter_square, single_shot_trial,
                                  soundness_scan)
@@ -226,9 +226,10 @@ def brute_supports(entries, weight, target):
     return out
 
 
+@pytest.mark.parametrize("block", [classical._BLOCK, 3])
 @given(st.integers(0, 2 ** 32), st.sampled_from(("zero", "case", "hit")))
 @settings(max_examples=200, deadline=None)
-def test_support_matcher_supports_match_combinations(seed, kind):
+def test_support_matcher_supports_match_combinations(block, seed, kind):
     entries, target, _, _ = matcher_case(seed)
     rng = random.Random(seed)
     weight = rng.randint(0, 5)
@@ -242,7 +243,11 @@ def test_support_matcher_supports_match_combinations(seed, kind):
         target = 0
         for g in rng.sample(groups, min(weight, len(groups))):
             target ^= rng.choice([v for h, _, v in entries if h == g])
-    got = SupportMatcher(entries).supports(weight, target)
+    # at block size 3 a weight-4 join spans many blocks, and weight 5
+    # recurses on the first entry over them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "_BLOCK", block)
+        got = SupportMatcher(entries).supports(weight, target)
     assert got.shape == (len(got), weight)
     assert [tuple(row) for row in got.tolist()] == brute_supports(
         entries, weight, target)
@@ -445,7 +450,8 @@ def test_first_soundness_lemma_instances():
 
 def test_composite_direct_sum_scan():
     b = cons.sehgp(REP2, REP2, REP2, REP2)
-    d = direct_sum(b.q.boundary(2), b.q.boundary(3).T.copy())
+    d = f2.block_compose([[b.q.boundary(2), None],
+                          [None, b.q.boundary(3).T.copy()]])
     rep = soundness_scan(d, t=2, f=quarter_square)
     assert rep.clean
 
@@ -482,24 +488,15 @@ def test_inheritance_raises_on_unsound_input():
         inheritance_check(d, n=2, t=2)
 
 
-def test_direct_sum_layout():
-    a = np.array([[1, 0]], dtype=np.uint8)
-    b = np.array([[1], [1]], dtype=np.uint8)
-    m = direct_sum(a, b)
-    assert m.shape == (3, 3)
-    assert (m == [[1, 0, 0], [0, 0, 1], [0, 0, 1]]).all()
-
-
 def test_model_syndrome_agrees_with_css_view():
     c = toric18()
     model = StabilizerModel.from_code(c)
     rng = np.random.default_rng(3)
-    from codeforge import css as css_mod
     for _ in range(10):
         e = PauliError(rng.integers(0, 2, 18, dtype=np.uint8),
                        rng.integers(0, 2, 18, dtype=np.uint8))
-        s = css_mod.syndrome(c, e)
-        assert (model.syndrome(e) == np.concatenate([s.sx, s.sz])).all()
+        want = np.concatenate([f2.mat_vec(c.hx, e.ez), f2.mat_vec(c.hz, e.ex)])
+        assert (model.syndrome(e) == want).all()
 
 
 def test_model_shape_mismatch():
