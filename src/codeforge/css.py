@@ -194,40 +194,6 @@ def distance(c: CssCode, kind: str, max_weight: int):
         max_weight, logical)
 
 
-def tanner_components(c: CssCode, kind: str) -> list[tuple[set, set]]:
-    """Connected components of the check/qubit bipartite graph of one block.
-
-    Args:
-        c: The code.
-        kind: 'X' for hx, 'Z' for hz.
-
-    Returns:
-        List of (qubit-index set, check-index set) pairs; isolated qubits
-        and empty checks form singleton components.
-    """
-    m = c.hx if kind == "X" else c.hz
-    rows, cols = m.shape
-    # union-find over rows [0, rows) and qubits [rows, rows + cols)
-    parent = list(range(rows + cols))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in np.argwhere(m):
-        ra, rb = find(int(i)), find(rows + int(j))
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, tuple[set, set]] = {}
-    for i in range(rows):
-        groups.setdefault(find(i), (set(), set()))[1].add(i)
-    for j in range(cols):
-        groups.setdefault(find(rows + j), (set(), set()))[0].add(j)
-    return sorted(groups.values(), key=lambda qc: (min(qc[0] | {cols}), min(qc[1] | {rows})))
-
-
 def export_bundle(c: CssCode, outdir, extra: dict | None = None) -> None:
     """Write the code as a four-file alist bundle plus a JSON manifest."""
     os.makedirs(outdir, exist_ok=True)

@@ -286,33 +286,3 @@ def decode_residual(model: StabilizerModel, e: PauliError, u: np.ndarray,
     if e_hat is None:
         return None
     return e * e_hat
-
-
-def single_shot_trial(code, e: PauliError, u: np.ndarray, f=quarter_square,
-                      budget: int = 4, model: StabilizerModel | None = None):
-    """One noisy-readout decode: (residual reduced weight, bound met).
-
-    Stage 1 flips a minimum number of outcome bits to make the observed
-    syndrome achievable; stage 2 applies a minimum-weight error matching
-    the repaired syndrome.  The residual is reduced over the stabilizer
-    coset and compared against f(2 |u|).
-
-    Args:
-        code: CssCode or banded code with stab_x/stab_z.
-        e: Injected data error.
-        u: Outcome flip vector, one bit per measured check.
-        f: Single-shot bound function.
-        budget: Weight cap for all three searches.
-        model: Optional prebuilt StabilizerModel (reuse across trials).
-    """
-    model = model or StabilizerModel.from_code(code)
-    u = f2.as_f2_vector(u)
-    if u.shape[0] != model.m:
-        raise ValueError(f"u has {u.shape[0]} bits, code measures {model.m}")
-    residual = decode_residual(model, e, u, budget)
-    if residual is None:
-        return LowerBound(budget), False
-    rw = model.reduced_weight(residual, budget)
-    bound = f(2 * int(f2.weight(u)))
-    passed = (not isinstance(rw, LowerBound)) and Fraction(rw) <= bound
-    return rw, passed

@@ -10,14 +10,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from codeforge import classical, complexes, css, f2, noisesim, soundness
+from codeforge import classical, complexes, f2, noisesim, soundness
 from codeforge import constructions as cons
 from codeforge.classical import LowerBound
 from codeforge.complexes import ChainComplex
 from codeforge.css import PauliError
 from codeforge.soundness import (StabilizerModel, quarter_cube,
-                                 quarter_square, single_shot_trial,
-                                 soundness_scan)
+                                 quarter_square, soundness_scan)
 
 REP2 = classical.repetition_closed_loop(2)
 REP3 = classical.repetition_closed_loop(3)
@@ -55,13 +54,14 @@ def test_criterion_01_direct_product_fixture():
     tester = f2.RowSpaceTester(basis)
     u = np.ones(3, dtype=np.uint8)
     ham_basis = f2.kernel_basis(ham.h)
-    hits = 0
+    outer = []
     for bits in itertools.product((0, 1), repeat=4):
         v = np.zeros(7, dtype=np.uint8)
         for i, b in enumerate(bits):
             if b:
                 v ^= ham_basis[i]
-        hits += tester.contains(np.outer(u, v).reshape(-1))
+        outer.append(np.outer(u, v).reshape(-1))
+    hits = int(tester.contains_batch(outer).sum())
     checks.append(("all 16 outer-product matrices are codewords", hits == 16))
     verdict(1, checks)
 
@@ -123,7 +123,7 @@ def test_criterion_03_sehgp_counts():
          isinstance(t3.distance(4), LowerBound)),
         (f"rep(3): weight-{d3} logical witness",
          f2.weight(w3) == d3 and not f2.mat_vec(c3.hx, w3).any()
-         and not f2.RowSpaceTester(c3.hz).contains(w3)),
+         and not f2.RowSpaceTester(c3.hz).contains_batch([w3])[0]),
     ])
 
 
@@ -226,7 +226,7 @@ def test_criterion_08_soundness_scans():
     ])
 
 
-def test_criterion_09_single_shot_patterns():
+def test_criterion_09_single_shot_patterns(single_shot_trial):
     rot = cons.bsh(cons.sehgp(REP3, REP3, REP3, REP3))
     model = StabilizerModel.from_code(rot)
     p = Fraction(min(rot.metadata["d_s"], 3), 2)
@@ -240,7 +240,7 @@ def test_criterion_09_single_shot_patterns():
                      and quarter_square(2 * uw) + e.weight < q)
         if not in_regime:
             return
-        rw, passed = single_shot_trial(rot, e, u, model=model)
+        rw, passed = single_shot_trial(model, e, u)
         if not passed:
             bad.append((e.weight, uw, rw))
 
@@ -258,13 +258,13 @@ def test_criterion_09_single_shot_patterns():
     ])
 
 
-def test_criterion_10_bias_decomposition():
+def test_criterion_10_bias_decomposition(tanner_components):
     checks = []
     for base in (REP2, REP3):
         slim = cons.ssh(base).tagged.css
         rot = cons.bssh(base).css
-        before = len(css.tanner_components(slim, "X"))
-        after = len(css.tanner_components(rot, "X"))
+        before = len(tanner_components(slim.hx))
+        after = len(tanner_components(rot.hx))
         checks.append(
             (f"{base.name or base.n}: components {after} > {before}",
              after > before))

@@ -149,14 +149,14 @@ def test_direct_product_matrix_characterization():
     # count out the full 2^(k1 k2) codeword set
     u = np.ones(3, dtype=np.uint8)
     tester = f2.RowSpaceTester(basis)
-    count = 0
+    outer = []
     for wv in itertools.product((0, 1), repeat=4):
         v = np.zeros(7, dtype=np.uint8)
         for i, b in enumerate(wv):
             if b:
                 v ^= f2.kernel_basis(c2.h)[i]
-        count += tester.contains(np.outer(u, v).reshape(-1) % 2)
-    assert count == 16
+        outer.append(np.outer(u, v).reshape(-1) % 2)
+    assert tester.contains_batch(outer).sum() == 16
 
 
 def test_kernel_supports_of_weight_completeness():

@@ -394,6 +394,32 @@ def test_bad_base_descriptor(tmp_path, capsys):
     assert code == 1 and err.startswith("error: ")
 
 
+# the open repetition code [[1, 1, 0], [0, 1, 1]], cut short or with a
+# non-integer token in its last column list
+REP3_OPEN = "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2\n2 3\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (REP3_OPEN[:-4], "truncated alist file: "),
+    (REP3_OPEN.replace("2 0", "x 0"),
+     "invalid literal for int() with base 10: 'x'"),
+])
+def test_build_rejects_bad_alist_base(tmp_path, capsys, text, message):
+    good = tmp_path / "good.alist"
+    good.write_text(REP3_OPEN)
+    code, _, err = run(capsys, "build", "--family", "hgp", "--base",
+                       f"alist:{good}", "--out", str(tmp_path / "g"))
+    assert code == 0, err
+    path = tmp_path / "base.alist"
+    path.write_text(text)
+    code, out, err = run(capsys, "build", "--family", "hgp", "--base",
+                         f"alist:{path}", "--out", str(tmp_path / "b"))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "b").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

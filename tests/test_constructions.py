@@ -121,9 +121,9 @@ def test_bsh_keeps_sehgp_parameters():
     assert cons.pauli_distance(rot.stab_x, rot.stab_z, 4) == b.tagged.distance(4) == 4
 
 
-def test_bsh_z_only_tanner_split():
+def test_bsh_z_only_tanner_split(tanner_components):
     rot = cons.bsh(sehgp2())
-    comps = css.tanner_components(css.CssCode(rot.stab_x, f2.zeros(0, 96)), "X")
+    comps = tanner_components(rot.stab_x)
     nontrivial = [c for c in comps if len(c[1]) > 0]
     assert len(nontrivial) >= 3
 
@@ -156,10 +156,9 @@ def test_bssh_preserves_ssh_parameters():
     assert cons.pauli_distance(rot.stab_x, rot.stab_z, 2) == ssh.distance(2) == 2
 
 
-def test_bssh_hsz_two_components():
+def test_bssh_hsz_two_components(tanner_components):
     t = cons.bssh(REP2)
-    probe = css.CssCode(t.hsz, f2.zeros(0, t.hsz.shape[1]))
-    comps = [c for c in css.tanner_components(probe, "X") if c[1]]
+    comps = [c for c in tanner_components(t.hsz) if c[1]]
     assert len(comps) >= 2
 
 
@@ -245,7 +244,7 @@ def test_xzzx3d_single_type_distance_is_2():
             for sup in classical.kernel_supports_of_weight(checks, w):
                 v = zero.copy()
                 v[list(sup)] = 1
-                if not tester.contains(as_pauli(v)):
+                if not tester.contains_batch([as_pauli(v)])[0]:
                     logical_weights.append(w)
         assert logical_weights and min(logical_weights) == 2
 
@@ -264,7 +263,7 @@ def brute_pauli_distance(stab_x, stab_z, cap):
                     if p in "ZY":
                         v[n + q] = 1
                 sx = f2.mat_vec(stab_x, v[n:]) ^ f2.mat_vec(stab_z, v[:n])
-                if not sx.any() and not tester.contains(v):
+                if not sx.any() and not tester.contains_batch([v])[0]:
                     return w
     return None
 

@@ -77,7 +77,8 @@ def brute_css_distance(c, kind):
     best = None
     for bits in itertools.product((0, 1), repeat=c.n):
         v = np.array(bits, dtype=np.uint8)
-        if not v.any() or f2.mat_vec(ker_of, v).any() or tester.contains(v):
+        if (not v.any() or f2.mat_vec(ker_of, v).any()
+                or tester.contains_batch([v])[0]):
             continue
         best = int(v.sum()) if best is None else min(best, int(v.sum()))
     return best
@@ -111,22 +112,20 @@ def test_distance_lower_bound_and_errors():
         css.distance(full, "X", 2)
 
 
-def test_tanner_components_block_diagonal():
+def test_tanner_components_block_diagonal(tanner_components):
     a = np.array([[1, 1]], dtype=np.uint8)
-    m = f2.block_compose([[a, None], [None, a]])
-    c = CssCode(m, f2.zeros(0, 4))
-    comps = css.tanner_components(c, "X")
+    comps = tanner_components(f2.block_compose([[a, None], [None, a]]))
     assert len(comps) == 2
     assert comps[0] == ({0, 1}, {0})
 
 
-def test_tanner_toric_connected():
-    assert len(css.tanner_components(toric18(), "X")) == 1
+def test_tanner_toric_connected(tanner_components):
+    assert len(tanner_components(toric18().hx)) == 1
 
 
-def test_tanner_bssh_splits():
+def test_tanner_bssh_splits(tanner_components):
     c = bssh(classical.repetition_closed_loop(2)).css
-    assert len(css.tanner_components(c, "X")) >= 2
+    assert len(tanner_components(c.hx)) >= 2
 
 
 def test_export_load_roundtrip(tmp_path):

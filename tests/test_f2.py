@@ -309,9 +309,8 @@ def test_row_space_tester_against_span():
     span = {b"\x00" * 8}
     for row in m:
         span |= {bytes(np.frombuffer(s, np.uint8) ^ row) for s in span}
-    for bits in itertools.product((0, 1), repeat=8):
-        v = np.array(bits, dtype=np.uint8)
-        assert tester.contains(v) == (bytes(v) in span)
+    vs = np.array(list(itertools.product((0, 1), repeat=8)), dtype=np.uint8)
+    assert tester.contains_batch(vs).tolist() == [bytes(v) in span for v in vs]
 
 
 def int_to_vector(x, length):
@@ -327,3 +326,80 @@ def test_columns_as_ints_roundtrip():
         assert (int_to_vector(val, 3) == HAM[:, j]).all()
     # column 6 is (1,1,1): big-endian bit packing
     assert ints[6] == f2.columns_as_ints(np.ones((3, 1), dtype=np.uint8))[0]
+
+
+def loop_kernel_basis(m):
+    """The per-element RREF copy kernel_basis used to make."""
+    n = m.shape[1]
+    r, pivots = f2.row_echelon(m)
+    free = [c for c in range(n) if c not in set(pivots)]
+    basis = np.zeros((len(free), n), dtype=np.uint8)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for prow, pc in enumerate(pivots):
+            basis[i, pc] = r[prow, fc]
+    return basis
+
+
+def loop_columns_as_ints(m):
+    """One np.packbits per column, as columns_as_ints used to pack."""
+    return [int.from_bytes(np.packbits(m[:, j]).tobytes(), "big")
+            for j in range(m.shape[1])]
+
+
+@st.composite
+def shaped(draw, rows=st.integers(0, 12), cols=st.integers(0, 12)):
+    """A seeded 0/1 matrix of any density, with empty shapes allowed."""
+    shape = (draw(rows), draw(cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dens = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    return (rng.random(shape) < dens).astype(np.uint8)
+
+
+@given(shaped())
+@settings(max_examples=200, deadline=None)
+def test_kernel_basis_matches_loop(m):
+    got = f2.kernel_basis(m)
+    assert got.dtype == np.uint8
+    assert got.shape == loop_kernel_basis(m).shape
+    assert (got == loop_kernel_basis(m)).all()
+
+
+@pytest.mark.parametrize("m", [
+    f2.zeros(0, 0), f2.zeros(0, 5), f2.zeros(4, 0), f2.zeros(3, 5),
+    f2.identity(4), np.ones((3, 6), dtype=np.uint8), REP3, HAM],
+    ids=["0x0", "0x5", "4x0", "rank0", "full", "ones", "rep3", "ham"])
+def test_kernel_basis_matches_loop_edges(m):
+    got = f2.kernel_basis(m)
+    assert got.shape == (m.shape[1] - f2.rank(m), m.shape[1])
+    assert (got == loop_kernel_basis(m)).all()
+
+
+@given(shaped(rows=st.sampled_from([0, 1, 7, 8, 9, 64, 65]),
+              cols=st.integers(0, 9)))
+@settings(max_examples=100, deadline=None)
+def test_columns_as_ints_matches_loop(m):
+    got = f2.columns_as_ints(m)
+    assert got == loop_columns_as_ints(m)
+    assert all(type(x) is int for x in got)
+    # a transposed, non-contiguous view packs the same
+    assert f2.columns_as_ints(np.ascontiguousarray(m.T).T) == got
+
+
+@given(shaped(rows=st.integers(0, 6), cols=st.sampled_from([0, 1, 255, 256,
+                                                            257, 600])),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_mat_vec_matches_int64_product(a, seed):
+    v = np.random.default_rng(seed).integers(0, 2, a.shape[1], dtype=np.uint8)
+    got = f2.mat_vec(a, v)
+    assert got.dtype == np.uint8 and got.shape == (a.shape[0],)
+    assert (got == a.astype(np.int64) @ v.astype(np.int64) % 2).all()
+
+
+def test_mat_vec_parity_past_uint8_wrap():
+    # 257 and 511 ones per row: uint8 sums wrap to 1 and 255, both odd
+    for ones in (256, 257, 511, 512):
+        a = np.ones((2, ones), dtype=np.uint8)
+        got = f2.mat_vec(a, np.ones(ones, dtype=np.uint8))
+        assert got.tolist() == [ones % 2] * 2

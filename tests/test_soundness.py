@@ -20,8 +20,7 @@ from codeforge.soundness import (F_BY_NAME, LemmaContradictionError,
                                  SoundnessReport, StabilizerModel,
                                  SupportMatcher,
                                  inheritance_check, quarter_cube,
-                                 quarter_square, single_shot_trial,
-                                 soundness_scan)
+                                 quarter_square, soundness_scan)
 
 REP2 = classical.repetition_closed_loop(2)
 REP3 = classical.repetition_closed_loop(3)
@@ -520,38 +519,32 @@ def test_repair_syndrome_identity_and_single_flip():
     assert f2.weight(u_hat) <= 1
 
 
-def test_single_shot_noiseless_identity():
+def test_single_shot_noiseless_identity(single_shot_trial):
     rot = cons.bssh(REP2)
     e = PauliError.identity(rot.n)
     u = np.zeros(rot.check_count(), dtype=np.uint8)
-    rw, passed = single_shot_trial(rot, e, u)
+    rw, passed = single_shot_trial(StabilizerModel.from_code(rot), e, u)
     assert rw == 0 and passed
 
 
-def test_single_shot_weight1_error_clean_readout():
+def test_single_shot_weight1_error_clean_readout(single_shot_trial):
     rot = cons.bsh(cons.sehgp(REP2, REP2, REP2, REP2))
     model = StabilizerModel.from_code(rot)
     u = np.zeros(model.m, dtype=np.uint8)
     for qubit, pauli in [(0, "X"), (40, "Z"), (90, "Y")]:
         e = PauliError.single(rot.n, qubit, pauli)
-        rw, passed = single_shot_trial(rot, e, u, model=model)
+        rw, passed = single_shot_trial(model, e, u)
         assert rw == 0 and passed
 
 
-def test_single_shot_one_flipped_outcome():
+def test_single_shot_one_flipped_outcome(single_shot_trial):
     rot = cons.bsh(cons.sehgp(REP2, REP2, REP2, REP2))
     model = StabilizerModel.from_code(rot)
     e = PauliError.identity(rot.n)
     for pos in (0, 50, 127):
         u = np.zeros(model.m, dtype=np.uint8)
         u[pos] = 1
-        rw, passed = single_shot_trial(rot, e, u, model=model)
+        rw, passed = single_shot_trial(model, e, u)
         assert passed
         assert Fraction(int(rw)) <= quarter_square(2)
 
-
-def test_single_shot_rejects_bad_args():
-    rot = cons.bssh(REP2)
-    e = PauliError.identity(rot.n)
-    with pytest.raises(ValueError):
-        single_shot_trial(rot, e, np.zeros(3, dtype=np.uint8))
