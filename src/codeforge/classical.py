@@ -36,9 +36,8 @@ class LowerBound:
         return f"> {self.value}"
 
 
-_WORD = (1 << 64) - 1
 _KEY_SEED = 0x2545F4914F6CDD1D
-# left pairs per weight-4 join step; bounds the join's temporaries
+# queries per join step; bounds the join's temporaries
 _BLOCK = 1 << 16
 # largest kernel dimension whose 2^k codewords min_kernel_weight lists
 _ENUM_LIMIT = 20
@@ -73,13 +72,16 @@ class _KeyIndex:
 
     Bucket b, the items whose key starts with the bits of b, is
     keys[offsets[b]:offsets[b + 1]].  The bucket count is the least power
-    of two at or above the item count, so a bucket holds 0.5 to 1 items
-    on average.
+    of two at or above the item count, times 8 up to 2^16 buckets: a
+    bucket holds 0.5 to 1 items on average in a large index, and 1/16 to
+    1/8 in a small one, where most of a batch's many queries then stop
+    at an empty bucket.
     """
 
     def __init__(self, keys: np.ndarray, cols: list[np.ndarray]):
         self.keys, self.cols = keys, cols
         bits = max(1, (len(keys) - 1).bit_length())
+        bits = max(bits, min(bits + 3, 16))
         self.shift = np.uint64(64 - bits)
         # bucket sizes, counted a block of sorted keys at a time, then
         # summed in place into bucket starts
@@ -117,42 +119,42 @@ class SupportMatcher:
     column searches use group = column index; Pauli searches put the X, Z
     and Y columns of one qubit in the same group.
 
-    Three questions share one set of tables.  find and find_min answer
-    with one support, the lexicographically first tuple of entry indices
-    in sorted-entry order.  supports lists every support of one weight,
-    in that order.  least_weight gives the least weight of a zero-XOR
-    support that a caller's test accepts: every distance in the package.
+    Three questions share one set of tables.  find, find_min and
+    find_min_batch answer with one support, the lexicographically first
+    tuple of entry indices in sorted-entry order; find_min_batch answers
+    a whole batch of targets at once, and find_min is its one-target
+    case.  supports lists every support of one weight, in that order.
+    least_weight gives the least weight of a zero-XOR support that a
+    caller's test accepts: every distance in the package.
 
-    Cost, for n entries.  Each entry is keyed by a fixed random
-    GF(2)-linear map of its value to 64 bits (_key_tables), so a set's
-    key is the XOR of its entries' keys.
+    Cost, for n entries and T targets.  Each entry is keyed by a fixed
+    random GF(2)-linear map of its value to 64 bits (_key_tables), so a
+    set's key is the XOR of its entries' keys, and a target's key is
+    computed once per search (pack).
 
-    - find at weight 1 is one dictionary probe and at weight 2 n of
-      them.  A soundness scan makes thousands of such tiny searches, and
-      sending them through the key index doubled the rsh1 rep:3 scan
-      (0.11 to 0.22 s on a 2-CPU host), so the dictionary stays.
-    - Every other search is one join of key-indexed tables: weight 2
-      (for supports) joins the n entries with the entries, weight 3 the
-      n entries with the pair table, and weight 4 the pair table with
-      itself.
+    - Weight 1 compares the target keys with the n entry keys.
+    - Every other weight is one join of key-indexed tables: weight 2
+      joins the n entries with the entries, weight 3 the n entries with
+      the pair table, and weight 4 the pair table with itself.
     - The pair table holds all ~n^2/2 pairs of entries from different
       groups: 8 bytes of key and two int32 indices a pair, plus an int32
       offset per bucket of key top bits, at 0.5 to 1 pairs a bucket.  It
       is built at the first join of weight 3 or more.
-    - A join looks each left item's query key up in its bucket, then
-      compares full keys, then groups, then full values one 64-bit word
-      at a time.
-    - The weight-4 join takes its left pairs in blocks of _BLOCK, so its
-      temporaries are bounded by the block and its matches, not by the
-      table.  Its time grows with the ~n^2/2 pairs, hit or miss.  find
-      keeps the least support of each block, and supports sorts the
-      rows of all blocks once.
+    - A join query is one (target, left item) pair.  It looks the XOR of
+      their keys up in its bucket, then compares full keys, then groups,
+      then full values one 64-bit word at a time.
+    - A join step takes at most _BLOCK queries (or one target and up to
+      _BLOCK left items), so its temporaries are bounded by the block
+      and its matches, not by the tables or the batch.  The weight-4
+      join's time grows with T times the ~n^2/2 pairs, hit or miss.
+      find keeps the least support of each target in each step, and
+      supports sorts the rows of all steps once.
     - Weight 5 and up recurse on the first entry, one weight-4 join per
-      entry, and give one block per first entry in increasing entry
-      order; find stops at the first entry with a completion.
-    - least_weight walks the same blocks weight by weight and stops at
-      the first block holding an accepted support, so its memory is
-      bounded by one block, not by the weight shell.
+      entry, in increasing entry order; find stops for each target at
+      the first entry with a completion.
+    - least_weight walks the same steps weight by weight and stops at
+      the first step holding an accepted support, so its memory is
+      bounded by one step, not by the weight shell.
     """
 
     def __init__(self, entries: list[tuple[int, object, int]]):
@@ -162,7 +164,6 @@ class SupportMatcher:
         # _after[i]: index of the first entry in a group above entry i's
         self._after = [bisect.bisect_right(self._groups, g)
                        for g in self._groups]
-        self._singles: dict[int, list[int]] | None = None
         self._arrays = None
         self._by_key = None
         self._pairs = None
@@ -183,38 +184,30 @@ class SupportMatcher:
                     for p, v in (("X", cols[q]), ("Z", cols[n + q]),
                                  ("Y", cols[q] ^ cols[n + q]))])
 
-    def _single_table(self) -> dict[int, list[int]]:
-        """Value -> indices of the entries holding it, in entry order."""
-        if self._singles is None:
-            self._singles = {}
-            for i, v in enumerate(self._values):
-                self._singles.setdefault(v, []).append(i)
-        return self._singles
-
     def _tables(self):
-        """(words, keys, after, key tables): words[k] holds the k-th 64-bit
-        word of every entry value, least significant word first; keys the
-        entries' keys (see _key_tables); after the _after list."""
+        """(words, keys, after, key tables, index): words[k] holds the
+        k-th 64-bit word of every entry value, least significant word
+        first; keys the entries' keys (see _key_tables); after the _after
+        list; index the entry indices 0..n-1 as int32."""
         if self._arrays is None:
             width = max((v.bit_length() for v in self._values), default=0)
-            nbytes = 8 * max(1, -(-width // 64))
-            raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little")
-                                         for v in self._values),
-                                dtype=np.uint8).reshape(-1, nbytes)
-            tables = _key_tables(nbytes)
-            keys = np.zeros(len(raw), dtype=np.uint64)
-            for j in range(nbytes):
-                keys ^= tables[j][raw[:, j]]
-            self._arrays = (raw.view("<u8").T.astype(np.uint64), keys,
-                            np.array(self._after, dtype=np.int32), tables)
+            tables = _key_tables(8 * max(1, -(-width // 64)))
+            keys, words = _pack(self._values, tables)
+            self._arrays = (words, keys, np.array(self._after, dtype=np.int32),
+                            tables, np.arange(len(keys), dtype=np.int32))
         return self._arrays
 
-    def _key(self, target: int) -> np.uint64:
-        """Key of a target no wider than the entries."""
+    def pack(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, words) of a list of ints: the target form that
+        find_min_batch takes.  keys[i] is the search key of values[i] and
+        words[:, i] its 64-bit words, least significant first, at least
+        as many as the entries have.  Both are GF(2)-linear in the value,
+        so the form of an XOR of values is the XOR of their forms."""
         tables = self._tables()[3]
-        raw = np.frombuffer(target.to_bytes(len(tables), "little"),
-                            dtype=np.uint8)
-        return np.bitwise_xor.reduce(tables[np.arange(len(tables)), raw])
+        width = max((v.bit_length() for v in values), default=0)
+        if width > 8 * len(tables):
+            tables = _key_tables(8 * -(-width // 64))
+        return _pack(values, tables)
 
     def _entry_index(self) -> _KeyIndex:
         if self._by_key is None:
@@ -227,7 +220,7 @@ class SupportMatcher:
         """Every pair i < j of entries in different groups, indexed by
         the key of their XOR, as (first, second) int32 columns."""
         if self._pairs is None:
-            _, keys, after, _ = self._tables()
+            _, keys, after, _, _ = self._tables()
             n = len(keys)
             counts = n - after
             # pairs (i, after[i]), ..., (i, n - 1) for each i in turn
@@ -247,50 +240,55 @@ class SupportMatcher:
             self._pairs = _KeyIndex(pair_keys, [first, second])
         return self._pairs
 
-    def _search(self, target: int, weight: int, start: int):
-        """Index tuple of the first support of the given weight that uses
-        only entries from index `start` on, or None."""
-        vals, after = self._values, self._after
-        if weight == 0:
-            return () if target == 0 else None
-        if weight == 1:
-            for i in self._single_table().get(target, ()):
-                if i >= start:
-                    return (i,)
-            return None
-        if weight == 2:
-            singles = self._single_table()
-            for i in range(start, len(vals)):
-                for j in singles.get(target ^ vals[i], ()):
-                    if j >= after[i]:
-                        return i, j
-            return None
-        best = None
-        for got in self._blocks(target, weight, start):
-            if len(got):
-                row = tuple(got[np.lexsort(got.T[::-1])[0]].tolist())
-                best = row if best is None else min(best, row)
-                if weight >= 5:
-                    # blocks come in first-entry order, one per entry
-                    break
-        return best
-
     def find(self, target: int, weight: int, min_group: int = -1):
         """One support of exactly the given weight, as (group, tag) pairs
         with groups above min_group, or None."""
-        start = bisect.bisect_right(self._groups, min_group)
-        got = self._search(target, weight, start)
-        if got is None:
+        if target >> (64 * len(self._tables()[0])):
             return None
-        return [self.entries[i][:2] for i in got]
+        start = bisect.bisect_right(self._groups, min_group)
+        _, got = self._first(*self.pack([target]), weight, start)
+        if not len(got):
+            return None
+        return [self.entries[i][:2] for i in got[0].tolist()]
 
     def find_min(self, target: int, cap: int):
         """(weight, support) of a minimum-weight match, or (None, None)."""
+        weight, rows = self.find_min_batch(*self.pack([target]), cap)
+        w = int(weight[0])
+        if w < 0:
+            return None, None
+        return w, [self.entries[i][:2] for i in rows[0, :w].tolist()]
+
+    def find_min_batch(self, keys: np.ndarray, words: np.ndarray, cap: int):
+        """find_min for a batch of targets, given in the form pack makes.
+
+        Returns:
+            (weight, rows).  weight[i] is the least weight of a support
+            of target i, or -1 when it has none of weight <= cap.
+            rows[i, :weight[i]] is the lexicographically first support
+            of that weight, as increasing indices into self.entries; -1
+            pads the rest of the (len(keys), max(cap, 0)) int64 array.
+        """
+        width = len(self._tables()[0])
+        weight = np.full(len(keys), -1, dtype=np.int64)
+        rows = np.full((len(keys), max(cap, 0)), -1, dtype=np.int64)
+        live = np.arange(len(keys))
+        if len(words) > width:
+            # a target with bits above the entries' words has no support
+            live = (~words[width:].any(axis=0)).nonzero()[0]
+            keys, words = keys[live], words[:width, live]
         for w in range(cap + 1):
-            got = self.find(target, w)
-            if got is not None:
-                return w, got
-        return None, None
+            if not len(live):
+                break
+            got, sub = self._first(keys, words, w, 0)
+            if len(got):
+                weight[live[got]] = w
+                rows[live[got], :w] = sub
+                if len(got) == len(live):
+                    break
+                keep = _unanswered(len(live), got)
+                live, keys, words = live[keep], keys[keep], words[:, keep]
+        return weight, rows
 
     def supports(self, weight: int, target: int = 0) -> np.ndarray:
         """Every support of the given weight whose values XOR to target.
@@ -304,83 +302,152 @@ class SupportMatcher:
             raise ValueError(f"weight must be >= 0, got {weight}")
         if weight == 0:
             return np.zeros((1 if target == 0 else 0, 0), dtype=np.int64)
-        got = np.concatenate([np.zeros((0, weight), dtype=np.int64),
-                              *self._blocks(target, weight, 0)])
+        got = [np.zeros((0, weight), dtype=np.int64)]
+        if not target >> (64 * len(self._tables()[0])):
+            got += [rows for _, rows in
+                    self._blocks(*self.pack([target]), weight, 0)]
+        got = np.concatenate(got)
         return got[np.lexsort(got.T[::-1])]
 
     def least_weight(self, cap: int, keep=None):
         """Least w in 1..cap with a zero-XOR support of weight w, else
-        LowerBound(cap).  keep, when given, takes one join block of
+        LowerBound(cap).  keep, when given, takes one join step's
         supports (rows of entry indices) and says whether it holds one
-        that counts; the search stops at the first block where it does."""
+        that counts; the search stops at the first step where it does."""
+        zero = self.pack([0])
         for w in range(1, cap + 1):
-            for got in self._blocks(0, w, 0):
+            for _, got in self._blocks(*zero, w, 0):
                 if len(got) and (keep is None or keep(got)):
                     return w
         return LowerBound(cap)
 
-    def _blocks(self, target: int, weight: int, start: int):
-        """Yield, unsorted and in parts, every support of weight >= 1 that
-        uses only entries from index `start` on.  Weight 5 and up yield
-        one part per first entry that completes, in entry order."""
-        words, keys, _, _ = self._tables()
-        if target >> (64 * len(words)):
-            return
-        if weight >= 5:
-            empty = np.zeros((0, weight - 1), dtype=np.int64)
+    def _first(self, tkeys, twords, weight: int, start: int):
+        """(targets, rows): each target that has a support of the given
+        weight using only entries from index `start` on, with its
+        lexicographically first one."""
+        if weight == 0:
+            hit = (~twords.any(axis=0)).nonzero()[0]
+            return hit, np.zeros((len(hit), 0), dtype=np.int64)
+        if weight < 5:
+            parts = [_least(*part) for part in
+                     self._blocks(tkeys, twords, weight, start)
+                     if len(part[0])]
+        else:
+            words, keys, after, _, _ = self._tables()
+            live, parts = np.arange(len(tkeys)), []
+            # the first entry that completes decides each target
             for a in range(start, len(keys)):
-                rest = np.concatenate([empty, *self._blocks(
-                    target ^ self._values[a], weight - 1, self._after[a])])
-                if len(rest):
-                    yield np.column_stack([np.full(len(rest), a), rest])
+                if not len(live):
+                    break
+                got, rest = self._first(tkeys[live] ^ keys[a],
+                                        twords[:, live] ^ words[:, a, None],
+                                        weight - 1, after[a])
+                if len(got):
+                    parts.append((live[got], np.column_stack(
+                        [np.full(len(got), a), rest])))
+                    live = live[_unanswered(len(live), got)]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return np.zeros(0, dtype=np.intp), np.zeros((0, weight),
+                                                        dtype=np.int64)
+        return _least(np.concatenate([t for t, _ in parts]),
+                      np.concatenate([r for _, r in parts]))
+
+    def _blocks(self, tkeys, twords, weight: int, start: int):
+        """Yield, unsorted and in parts, (targets, rows) for every support
+        of weight >= 1 of every target that uses only entries from index
+        `start` on.  Weight 5 and up yield the parts of each first entry
+        in turn, in entry order."""
+        words, keys, after, _, index = self._tables()
+        if weight >= 5:
+            for a in range(start, len(keys)):
+                for got, rest in self._blocks(
+                        tkeys ^ keys[a], twords ^ words[:, a, None],
+                        weight - 1, after[a]):
+                    yield got, np.column_stack([np.full(len(got), a), rest])
             return
-        tkey = self._key(target)
         if weight == 1:
-            hit = start + (keys[start:] == tkey).nonzero()[0]
-            yield self._exact(hit[:, None], target)
+            per = max(1, _BLOCK // max(1, len(keys) - start))
+            for t in range(0, len(tkeys), per):
+                got, hit = (tkeys[t:t + per, None] == keys[start:]).nonzero()
+                yield self._exact(t + got, start + hit[:, None], twords)
             return
-        mine = (keys[start:], [np.arange(start, len(keys), dtype=np.int32)])
-        if weight == 2:
-            yield self._join(target, tkey, mine, self._entry_index())
+        if weight == 4:
+            pairs = self._pair_index()
+            yield from self._join(tkeys, twords, (pairs.keys, pairs.cols),
+                                  pairs, start)
             return
-        pairs = self._pair_index()
-        if weight == 3:
-            yield self._join(target, tkey, mine, pairs)
-            return
-        first, second = pairs.cols
-        for s in range(0, len(pairs.keys), _BLOCK):
-            block = slice(s, s + _BLOCK)
-            left = (pairs.keys[block], [first[block], second[block]])
-            if start:
-                keep = first[block] >= start
-                left = (left[0][keep], [c[keep] for c in left[1]])
-            yield self._join(target, tkey, left, pairs)
+        right = self._entry_index() if weight == 2 else self._pair_index()
+        yield from self._join(tkeys, twords, (keys, [index]), right, start)
 
-    def _join(self, target: int, tkey, left, right: _KeyIndex) -> np.ndarray:
-        """Supports made of one left item followed by one right item.
+    def _join(self, tkeys, twords, left, right: _KeyIndex, start: int):
+        """Yield (targets, rows) parts: the supports made of one left item
+        that starts at entry `start` or later, followed by one right item.
 
-        The left side is (keys, index columns).  Every left item is
-        matched with the right items whose key is tkey XOR its own, and a
-        combination is kept when the right item starts in a group above
-        the left item's last one and the values XOR to the target.
+        The left side is (keys, index columns).  Every (target, left
+        item) query is matched with the right items whose key is the XOR
+        of the two, and a combination is kept when the right item starts
+        in a group above the left item's last one and the values XOR to
+        the target.  A step takes up to _BLOCK left items, and as many
+        targets as keep it at _BLOCK queries, one target at least.
         """
-        lkeys, lcols = left
-        li, ri = right.probe(lkeys ^ tkey)
         after = self._tables()[2]
-        keep = right.cols[0][ri] >= after.take(lcols[-1][li])
-        li, ri = li[keep], ri[keep]
-        return self._exact(np.column_stack([c[li] for c in lcols]
-                                           + [c[ri] for c in right.cols]),
-                           target)
+        lkeys, lcols = left
+        for s in range(0, len(lkeys), _BLOCK):
+            part, cols = lkeys[s:s + _BLOCK], [c[s:s + _BLOCK] for c in lcols]
+            if start:
+                mine = cols[0] >= start
+                part, cols = part[mine], [c[mine] for c in cols]
+            if not len(part):
+                continue
+            per = max(1, _BLOCK // len(part))
+            for t in range(0, len(tkeys), per):
+                qi, ri = right.probe((tkeys[t:t + per, None] ^ part).ravel())
+                got, li = np.divmod(qi, len(part))
+                keep = right.cols[0][ri] >= after.take(cols[-1][li])
+                got, li, ri = got[keep], li[keep], ri[keep]
+                rows = np.column_stack([c[li] for c in cols]
+                                       + [c[ri] for c in right.cols])
+                yield self._exact(t + got, rows, twords)
 
-    def _exact(self, got: np.ndarray, target: int) -> np.ndarray:
-        """The rows of got whose entry values XOR to target, as int64."""
+    def _exact(self, got: np.ndarray, rows: np.ndarray, twords):
+        """The (targets, rows) pairs whose row's entry values XOR to the
+        target, rows as int64."""
         words = self._tables()[0]
-        ok = np.ones(len(got), dtype=bool)
-        for k, row in enumerate(words):
-            want = np.uint64((target >> (64 * k)) & _WORD)
-            ok &= np.bitwise_xor.reduce(row[got], axis=1) == want
-        return got[ok].astype(np.int64)
+        ok = (np.bitwise_xor.reduce(words[:, rows], axis=2)
+              == twords[:, got]).all(axis=0)
+        return got[ok], rows[ok].astype(np.int64, copy=False)
+
+
+def _pack(values, tables: np.ndarray):
+    """(keys, words) of a list of ints no wider than the key tables: see
+    SupportMatcher.pack."""
+    nbytes = len(tables)
+    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little")
+                                 for v in values),
+                        dtype=np.uint8).reshape(-1, nbytes)
+    keys = np.bitwise_xor.reduce(tables[np.arange(nbytes), raw], axis=1)
+    return keys, raw.view("<u8").T
+
+
+def _unanswered(count: int, got: np.ndarray) -> np.ndarray:
+    """Mask of the count targets of a batch that are not in got."""
+    keep = np.ones(count, dtype=bool)
+    keep[got] = False
+    return keep
+
+
+def _least(got: np.ndarray, rows: np.ndarray):
+    """The lexicographically least row of each target in got, as
+    (targets, rows)."""
+    if len(got) > 1:
+        order = np.lexsort((*rows.T[::-1], got))
+        got, rows = got[order], rows[order]
+        first = np.ones(len(got), dtype=bool)
+        first[1:] = got[1:] != got[:-1]
+        got, rows = got[first], rows[first]
+    return got, rows
 
 
 def kernel_supports_of_weight(m, w: int):

@@ -8,18 +8,20 @@ single-shot experiments.
 
 All three searches run on classical.SupportMatcher: minimum-weight sets
 of columns (or of single-qubit Paulis) whose XOR hits a target.  It
-answers weight 1 and 2 from a dictionary of single entries, and weight
-3 and 4 by one batched join that meets in the middle on a lazily built
-table of entry pairs, addressed directly by the top bits of a random
-GF(2)-linear 64-bit key.  Among the supports of least weight it returns
-the lexicographically first one in sorted-entry order, so a decoder's
-output is fixed by its entries and its target alone.  The scan lists
-achievable syndromes with the same joins.
+keys every value by a random GF(2)-linear 64-bit map, answers weight 1
+by comparing keys, and weights 2 to 4 by batched joins that meet in the
+middle on key-indexed tables of entries and of entry pairs.  Among the
+supports of least weight it returns the lexicographically first one in
+sorted-entry order, so a decoder's output is fixed by its entries and
+its target alone.  The decoder asks for one target at a time; the scan
+lists the achievable syndromes of one weight with the same joins and
+answers all of them in one batch.
 
 Bounds are compared in exact rational arithmetic; no floats.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -204,7 +206,10 @@ def soundness_scan(syndrome_map, t: int, f=quarter_square,
     syndromes of weight w are the zero-XOR supports of weight w of the
     columns of ach.  One SupportMatcher lists them in lexicographic
     order, with vectorised table joins rather than a walk over all
-    C(m, w) supports, so the full weight shell is cheap.
+    C(m, w) supports, so the full weight shell is cheap.  Their search
+    keys and words are XORs of those of the unit vectors, and one
+    find_min_batch call over the columns of d answers every syndrome of
+    one weight; the report is then read off its result arrays.
 
     Args:
         syndrome_map: The map d; errors live on its columns.
@@ -220,33 +225,35 @@ def soundness_scan(syndrome_map, t: int, f=quarter_square,
     m = d.shape[0]
     if cap is None:
         cap = int(f(t)) + 2
-    unit = f2.columns_as_ints(f2.identity(m))
     matcher = SupportMatcher.for_columns(d)
+    # a syndrome's key and words are the XOR of those of its unit vectors
+    unit_keys, unit_words = matcher.pack(
+        f2.columns_as_ints(f2.identity(m)))
+    achievable = SupportMatcher.for_columns(f2.kernel_basis(d.T))
     report = SoundnessReport(t_scanned=t, f_name=getattr(f, "fname", "custom"))
     report.per_weight[0] = 0
-
-    def consider(supp):
-        target = 0
-        for i in supp:
-            target ^= unit[i]
-        ws = len(supp)
-        w, pre = matcher.find_min(target, cap)
-        bound = f(ws)
-        if w is None:
-            report.partial = True
-            report.violations.append((tuple(supp), ws, LowerBound(cap)))
-            return
-        report.per_weight[ws] = max(report.per_weight.get(ws, 0), w)
-        report.max_ratio = max(report.max_ratio,
-                               Fraction(w) / bound if bound else Fraction(0))
-        if w > bound:
-            report.violations.append(
-                (tuple(tag for _, tag in pre), ws, w))
-
-    achievable = SupportMatcher.for_columns(f2.kernel_basis(d.T))
     for ws in range(1, t + 1):
-        for supp in achievable.supports(ws).tolist():
-            consider(supp)
+        supp = achievable.supports(ws)
+        weight, pre = matcher.find_min_batch(
+            np.bitwise_xor.reduce(unit_keys[supp], axis=1),
+            np.bitwise_xor.reduce(unit_words[:, supp], axis=2), cap)
+        bound = f(ws)
+        hit = weight[weight >= 0]
+        if len(hit):
+            w = int(hit.max())
+            report.per_weight[ws] = w
+            ratio = Fraction(w) / bound if bound else Fraction(0)
+            report.max_ratio = max(report.max_ratio, ratio)
+        # misses and preimages above the bound, in syndrome order; a
+        # column's tag is its index
+        bad = ((weight < 0) | (weight > math.floor(bound))).nonzero()[0]
+        for i, w in zip(bad.tolist(), weight[bad].tolist()):
+            if w < 0:
+                report.partial = True
+                report.violations.append(
+                    (tuple(supp[i].tolist()), ws, LowerBound(cap)))
+            else:
+                report.violations.append((tuple(pre[i, :w].tolist()), ws, w))
     return report
 
 

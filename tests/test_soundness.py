@@ -152,8 +152,9 @@ def key_ghost(rng, bits):
     return key_ghost(rng, bits)
 
 
-def matcher_case(seed):
-    """Entries, target, cap and one (weight, min_group) probe.
+def matcher_case(seed, count=1):
+    """Entries, a list of count targets, cap and one (weight, min_group)
+    probe.
 
     Values run from 4 to 130 bits.  Duplicates and same-group Y = X ^ Z
     triples give many supports of one weight, so the tie-break matters.
@@ -187,25 +188,79 @@ def matcher_case(seed):
                 v = rng.getrandbits(bits)
             entries.append((g, tag, v))
     cap = rng.randint(0, 6 if n_groups <= 10 else 4)
-    target = rng.getrandbits(bits)
-    if rng.random() < 0.5:
-        target = rng.choice((0, 0, ghost()))
-        k = min(n_groups, rng.randint(cap // 2, cap))
-        for g in rng.sample(range(n_groups), k):
-            target ^= rng.choice([v for h, _, v in entries if h == g])
+
+    def target():
+        t = rng.getrandbits(bits)
+        if rng.random() < 0.5:
+            t = rng.choice((0, 0, ghost()))
+            k = min(n_groups, rng.randint(cap // 2, cap))
+            for g in rng.sample(range(n_groups), k):
+                t ^= rng.choice([v for h, _, v in entries if h == g])
+        return t
+
+    targets = [target() for _ in range(count)]
     probe = (rng.randint(0, cap), rng.randint(-1, n_groups))
-    return entries, target, cap, probe
+    return entries, targets, cap, probe
 
 
 @given(st.integers(0, 2 ** 32))
 @settings(max_examples=400, deadline=None)
 def test_support_matcher_matches_dfs(seed):
-    entries, target, cap, (weight, min_group) = matcher_case(seed)
+    entries, (target,), cap, (weight, min_group) = matcher_case(seed)
     matcher = SupportMatcher(entries)
     assert matcher.find_min(target, cap) == dfs_find_min(entries, target,
                                                          cap)
     assert (matcher.find(target, weight, min_group)
             == DfsMatcher(entries).find(target, weight, min_group))
+
+
+def assert_batch_matches_dfs(entries, targets, cap):
+    """find_min_batch on targets equals DfsMatcher.find_min on each."""
+    matcher = SupportMatcher(entries)
+    weight, rows = matcher.find_min_batch(*matcher.pack(targets), cap)
+    assert weight.shape == (len(targets),)
+    assert rows.shape == (len(targets), max(cap, 0))
+    dfs = DfsMatcher(entries)
+    for target, w, row in zip(targets, weight.tolist(), rows.tolist()):
+        want_w, want = dfs.find_min(target, cap)
+        if want_w is None:
+            assert w == -1 and row == [-1] * len(row)
+        else:
+            assert w == want_w
+            assert [matcher.entries[i][:2] for i in row[:w]] == want
+            assert row[w:] == [-1] * (len(row) - w)
+
+
+@pytest.mark.parametrize("block", [classical._BLOCK, 3])
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_find_min_batch_matches_dfs(block, seed):
+    entries, targets, cap, _ = matcher_case(seed, 6)
+    rng = random.Random(seed)
+    if rng.random() < 0.1:
+        entries = []
+    width = max((v.bit_length() for _, _, v in entries), default=0)
+    # repeats, zero, and a target with a bit above the entries' words
+    wide = targets[0] ^ 1 << (64 * max(1, -(-width // 64)) + rng.randrange(64))
+    targets += [targets[0], targets[1], 0, wide]
+    rng.shuffle(targets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "_BLOCK", block)
+        assert_batch_matches_dfs(entries, targets, cap)
+
+
+@pytest.mark.parametrize("block", [classical._BLOCK, 3])
+def test_find_min_batch_rejects_key_ghosts(block, monkeypatch):
+    rng = random.Random(3)
+    g = key_ghost(rng, 100)
+    a, b, c = (rng.getrandbits(100) for _ in range(3))
+    entries = [(0, "a", a), (1, "b", b), (2, "c", c), (3, "d", a ^ g),
+               (4, "e", b ^ c ^ g), (5, "f", a ^ b ^ c ^ g)]
+    monkeypatch.setattr(classical, "_BLOCK", block)
+    # g and a ^ b ^ g share keys with 0 and a ^ b, which have supports
+    # that g and a ^ b ^ g do not share
+    assert_batch_matches_dfs(entries, [0, g, a, a ^ b ^ g, g, a ^ b, b ^ c],
+                             5)
 
 
 def brute_supports(entries, weight, target):
@@ -229,7 +284,7 @@ def brute_supports(entries, weight, target):
 @given(st.integers(0, 2 ** 32), st.sampled_from(("zero", "case", "hit")))
 @settings(max_examples=200, deadline=None)
 def test_support_matcher_supports_match_combinations(block, seed, kind):
-    entries, target, _, _ = matcher_case(seed)
+    entries, (target,), _, _ = matcher_case(seed)
     rng = random.Random(seed)
     weight = rng.randint(0, 5)
     # keep the oracle's walk over combinations near 10^5
@@ -363,17 +418,18 @@ def test_scan_flags_distant_pair_violation():
 
 
 def combinations_scan(syndrome_map, t, f=quarter_square, cap=None):
-    """The soundness scan as it was before SupportMatcher.supports listed
-    its achievable syndromes: a walk over all C(m, w) supports of each
-    weight, kept as the reference for the whole report, violation order
-    included."""
+    """The soundness scan as it was before SupportMatcher listed its
+    achievable syndromes and answered them in batches: a walk over all
+    C(m, w) supports of each weight, one DfsMatcher.find_min per
+    achievable syndrome, kept as the reference for the whole report,
+    violation order included."""
     d = f2.as_f2(syndrome_map)
     m = d.shape[0]
     if cap is None:
         cap = int(f(t)) + 2
     ach = f2.columns_as_ints(f2.kernel_basis(d.T))
     unit = f2.columns_as_ints(f2.identity(m))
-    matcher = SupportMatcher(
+    matcher = DfsMatcher(
         [(j, j, v) for j, v in enumerate(f2.columns_as_ints(d))])
     report = SoundnessReport(t_scanned=t, f_name=getattr(f, "fname", "custom"))
     report.per_weight[0] = 0
@@ -419,11 +475,20 @@ def test_scan_matches_combinations_scan(seed):
             == combinations_scan(d, t, f, cap))
 
 
-def test_scan_matches_combinations_scan_rsh1_rep2():
+@pytest.mark.parametrize("block", [classical._BLOCK, 3])
+def test_scan_matches_combinations_scan_rsh1_rep2(block, monkeypatch):
     c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1).css
     d = StabilizerModel.from_code(c).syndrome_map
+    monkeypatch.setattr(classical, "_BLOCK", block)
     # past t = 3 the default preimage cap makes every miss a long search
-    for t, cap in ((0, None), (1, None), (2, None), (3, None), (4, 2)):
+    cases = [(0, None), (1, None), (2, None), (3, None), (4, 2)]
+    if block == 3:
+        # a join step then holds one syndrome and 3 columns, so the 96
+        # syndromes of weight 2 take ~5000 steps; the 7408 of weight 4
+        # would take ~400000 (23 s), and at the default size they
+        # already span 19 steps at each weight
+        cases.pop()
+    for t, cap in cases:
         want = combinations_scan(d, t, cap=cap)
         assert soundness_scan(d, t, cap=cap) == want
         assert want.violations or t < 2
