@@ -37,7 +37,8 @@ class LowerBound:
 
 
 _KEY_SEED = 0x2545F4914F6CDD1D
-# queries per join step; bounds the join's temporaries
+# queries per join step and candidates per run read; bounds their
+# temporaries
 _BLOCK = 1 << 16
 # largest kernel dimension whose 2^k codewords min_kernel_weight lists
 _ENUM_LIMIT = 20
@@ -111,6 +112,48 @@ class _KeyIndex:
         return qi[same], ii[same]
 
 
+class _Sorted:
+    """Items sorted by key, one uint64 word each: the item's key with its
+    low `bits` = bit_length(count - 1) bits replaced by its ordinal.
+
+    Keys are compared on their high 64 - bits bits only, so a run of
+    equal keys lists its items by ordinal; a false match costs one value
+    check (SupportMatcher._exact).
+    """
+
+    def __init__(self, keys: np.ndarray):
+        """Sort keys, which it takes over and overwrites, as words."""
+        self.bits = np.uint64(max(0, len(keys) - 1).bit_length())
+        self.low = np.uint64((1 << int(self.bits)) - 1)
+        keys &= ~self.low
+        keys |= np.arange(len(keys), dtype=np.uint64)
+        keys.sort()
+        self.words = keys
+
+    def ordinals(self, pos: np.ndarray) -> np.ndarray:
+        """The ordinals of the items at the given positions."""
+        return (self.words[pos] & self.low).astype(np.intp)
+
+    def span(self, keys: np.ndarray):
+        """(lo, hi): words[lo[i]:hi[i]] are the items keyed as keys[i]."""
+        return (np.searchsorted(self.words, keys & ~self.low),
+                np.searchsorted(self.words, keys | self.low, side="right"))
+
+    def runs(self):
+        """(kept, later): the positions of the items that share their key
+        with another item, in order, and for each the count of items
+        after it with the same key."""
+        high = self.words >> self.bits
+        same = high[1:] == high[:-1]
+        keep = np.zeros(len(high), dtype=bool)
+        keep[1:] = same
+        keep[:-1] |= same
+        kept = keep.nonzero()[0]
+        high = high[kept]
+        return kept, (np.searchsorted(high, high, side="right")
+                      - np.arange(1, len(kept) + 1))
+
+
 class SupportMatcher:
     """Support search: entry subsets whose values XOR to a target.
 
@@ -133,22 +176,37 @@ class SupportMatcher:
     computed once per search (pack).
 
     - Weight 1 compares the target keys with the n entry keys.
-    - Every other weight is one join of key-indexed tables: weight 2
+    - A search for one target whose key is 0 from entry 0 on (every
+      least_weight, and supports(w) of target 0: the soundness scan's
+      achievable syndromes) reads weights 2 to 4 off runs of equal keys
+      in sorted tables (_Sorted), with no probe: weight 2 reads runs of
+      the sorted entry keys, weight 3 looks each entry key up in the
+      sorted pair keys by binary search, and weight 4 reads runs of the
+      sorted pair keys.  That table holds one uint64 word a pair, the
+      key with the pair's ordinal in its low bits, and is sorted once;
+      pair indices are decoded only for the pairs a read keeps.  A read
+      pairs an item with each later item of its run (or span), and
+      these candidates go through the group test and value check below.
+    - Every other search is one join of key-indexed tables: weight 2
       joins the n entries with the entries, weight 3 the n entries with
-      the pair table, and weight 4 the pair table with itself.
-    - The pair table holds all ~n^2/2 pairs of entries from different
-      groups: 8 bytes of key and two int32 indices a pair, plus an int32
-      offset per bucket of key top bits, at 0.5 to 1 pairs a bucket.  It
-      is built at the first join of weight 3 or more.
+      the pair table, and weight 4 the pair table with itself.  That
+      takes every target batch, every target of nonzero key, every
+      start above entry 0 and the first-entry recursion of weight 5 up.
+    - The join's pair table holds all ~n^2/2 pairs of entries from
+      different groups: 8 bytes of key and two int32 indices a pair,
+      plus an int32 offset per bucket of key top bits, at 0.5 to 1 pairs
+      a bucket.  It is built at the first join of weight 3 or more.
     - A join query is one (target, left item) pair.  It looks the XOR of
       their keys up in its bucket, then compares full keys, then groups,
       then full values one 64-bit word at a time.
     - A join step takes at most _BLOCK queries (or one target and up to
-      _BLOCK left items), so its temporaries are bounded by the block
-      and its matches, not by the tables or the batch.  The weight-4
-      join's time grows with T times the ~n^2/2 pairs, hit or miss.
-      find keeps the least support of each target in each step, and
-      supports sorts the rows of all steps once.
+      _BLOCK left items), and a run read at most _BLOCK candidates, so
+      temporaries are bounded by the block and its matches, not by the
+      tables or the batch.  The weight-4 join's time grows with T times
+      the ~n^2/2 pairs, hit or miss; the weight-4 run read's with the
+      sort of the pairs and the pairs of equal key.  find keeps the
+      least support of each target in each step, and supports sorts the
+      rows of all steps once.
     - Weight 5 and up recurse on the first entry, one weight-4 join per
       entry, in increasing entry order; find stops for each target at
       the first entry with a completion.
@@ -167,6 +225,9 @@ class SupportMatcher:
         self._arrays = None
         self._by_key = None
         self._pairs = None
+        self._entry_words = None
+        self._pair_words = None
+        self._pair_decode = None
 
     @classmethod
     def for_columns(cls, m) -> "SupportMatcher":
@@ -216,20 +277,30 @@ class SupportMatcher:
             self._by_key = _KeyIndex(keys[order], [order])
         return self._by_key
 
+    def _pair_keys(self):
+        """(keys, second, starts, shift) of every pair i < j of entries in
+        different groups, listed by i, then j: pair p is (i, p - shift[i])
+        for the i with starts[i] <= p < starts[i + 1], and keys[p] is the
+        key of its XOR."""
+        _, keys, after, _, _ = self._tables()
+        counts = len(keys) - after
+        # pairs (i, after[i]), ..., (i, n - 1) for each i in turn
+        starts = np.cumsum(counts, dtype=np.int32) - counts
+        shift = starts - after
+        second = np.arange(counts.sum(), dtype=np.int32)
+        second -= np.repeat(shift, counts)
+        pair_keys = np.repeat(keys, counts)
+        pair_keys ^= keys.take(second)
+        return pair_keys, second, starts, shift
+
     def _pair_index(self) -> _KeyIndex:
         """Every pair i < j of entries in different groups, indexed by
         the key of their XOR, as (first, second) int32 columns."""
         if self._pairs is None:
             _, keys, after, _, _ = self._tables()
-            n = len(keys)
-            counts = n - after
-            # pairs (i, after[i]), ..., (i, n - 1) for each i in turn
-            shift = np.cumsum(counts, dtype=np.int32) - counts - after
-            first = np.repeat(np.arange(n, dtype=np.int32), counts)
-            second = np.arange(len(first), dtype=np.int32)
-            second -= np.repeat(shift, counts)
-            pair_keys = np.repeat(keys, counts)
-            pair_keys ^= keys.take(second)
+            pair_keys, second, _, _ = self._pair_keys()
+            first = np.repeat(np.arange(len(keys), dtype=np.int32),
+                              len(keys) - after)
             order = np.argsort(pair_keys)
             # gathering the keys again costs less memory than permuting
             del pair_keys
@@ -239,6 +310,63 @@ class SupportMatcher:
             pair_keys ^= keys.take(second)
             self._pairs = _KeyIndex(pair_keys, [first, second])
         return self._pairs
+
+    def _sorted_entries(self) -> _Sorted:
+        """The entries' keys as a _Sorted table (ordinal = entry index)."""
+        if self._entry_words is None:
+            keys = self._tables()[1]
+            self._entry_words = _Sorted(keys.copy())
+        return self._entry_words
+
+    def _sorted_pairs(self) -> _Sorted:
+        """The pairs of _pair_keys as a _Sorted table (ordinal = pair
+        position), with what decodes a pair position."""
+        if self._pair_words is None:
+            pair_keys, second, starts, shift = self._pair_keys()
+            del second
+            self._pair_words = _Sorted(pair_keys)
+            self._pair_decode = (starts, shift)
+        return self._pair_words
+
+    def _pairs_of(self, ordinals: np.ndarray):
+        """(first, second) int32 entry indices of pair positions."""
+        starts, shift = self._pair_decode
+        first = (np.searchsorted(starts, ordinals, side="right")
+                 - 1).astype(np.int32)
+        return first, (ordinals - shift[first]).astype(np.int32)
+
+    def _zero_blocks(self, twords, weight: int):
+        """_blocks for one target whose key is 0, weight 2 to 4, from
+        entry 0 on: the candidates are the sets whose keys XOR to 0, read
+        off runs of equal keys in the sorted tables with no probe."""
+        after = self._tables()[2]
+        if weight == 3:
+            # entry a, then a pair (b, c) with the key of a
+            keys = self._tables()[1]
+            pairs = self._sorted_pairs()
+            lo, hi = pairs.span(keys)
+            for a, p in _spans(lo, hi - lo):
+                first, second = self._pairs_of(pairs.ordinals(p))
+                ok = first >= after.take(a)
+                yield self._exact(np.zeros(ok.sum(), dtype=np.intp),
+                                  np.column_stack([a[ok], first[ok],
+                                                   second[ok]]), twords)
+            return
+        table = self._sorted_pairs() if weight == 4 else self._sorted_entries()
+        kept, later = table.runs()
+        # the kept items as columns of entry indices, (a, b) or (a,)
+        ordinals = table.ordinals(kept)
+        cols = (self._pairs_of(ordinals) if weight == 4
+                else (ordinals.astype(np.int32),))
+        # a run lists its items by ordinal, so by first entry: each
+        # candidate is an item followed by a later one of its run
+        for left, right in _spans(np.arange(1, len(kept) + 1), later):
+            ok = cols[0][right] >= after.take(cols[-1][left])
+            left, right = left[ok], right[ok]
+            yield self._exact(np.zeros(len(left), dtype=np.intp),
+                              np.column_stack([c[left] for c in cols]
+                                              + [c[right] for c in cols]),
+                              twords)
 
     def find(self, target: int, weight: int, min_group: int = -1):
         """One support of exactly the given weight, as (group, tag) pairs
@@ -293,6 +421,10 @@ class SupportMatcher:
     def supports(self, weight: int, target: int = 0) -> np.ndarray:
         """Every support of the given weight whose values XOR to target.
 
+        A target whose key is 0, such as 0 itself, is read off runs of
+        equal keys at weights 2 to 4; any other goes through the joins
+        (see the class docstring).
+
         Returns:
             An int64 array of shape (count, weight).  Each row holds the
             indices into self.entries of one support, in increasing
@@ -311,9 +443,11 @@ class SupportMatcher:
 
     def least_weight(self, cap: int, keep=None):
         """Least w in 1..cap with a zero-XOR support of weight w, else
-        LowerBound(cap).  keep, when given, takes one join step's
-        supports (rows of entry indices) and says whether it holds one
-        that counts; the search stops at the first step where it does."""
+        LowerBound(cap).  keep, when given, takes one step's supports
+        (rows of entry indices) and says whether it holds one that
+        counts; the search stops at the first step where it does.  Steps
+        of weight 2 to 4 are run reads of at most _BLOCK candidates, in
+        key order, not joins (see the class docstring)."""
         zero = self.pack([0])
         for w in range(1, cap + 1):
             for _, got in self._blocks(*zero, w, 0):
@@ -373,6 +507,9 @@ class SupportMatcher:
                 got, hit = (tkeys[t:t + per, None] == keys[start:]).nonzero()
                 yield self._exact(t + got, start + hit[:, None], twords)
             return
+        if start == 0 and len(tkeys) == 1 and tkeys[0] == 0:
+            yield from self._zero_blocks(twords, weight)
+            return
         if weight == 4:
             pairs = self._pair_index()
             yield from self._join(tkeys, twords, (pairs.keys, pairs.cols),
@@ -431,6 +568,17 @@ def _pack(values, tables: np.ndarray):
     return keys, raw.view("<u8").T
 
 
+def _spans(base: np.ndarray, count: np.ndarray):
+    """Yield (item, position) arrays, at most _BLOCK long, that list the
+    positions base[i] .. base[i] + count[i] - 1 of each item i in turn."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if len(ends) else 0
+    for s in range(0, total, _BLOCK):
+        k = np.arange(s, min(s + _BLOCK, total))
+        item = np.searchsorted(ends, k, side="right")
+        yield item, base[item] + k - (ends[item] - count[item])
+
+
 def _unanswered(count: int, got: np.ndarray) -> np.ndarray:
     """Mask of the count targets of a batch that are not in got."""
     keep = np.ones(count, dtype=bool)
@@ -457,7 +605,7 @@ def kernel_supports_of_weight(m, w: int):
     listed by one SupportMatcher (group = column) in lexicographic order.
     The whole weight shell is built before the first one is yielded.
     Distance searches do not use it; they call least_weight, which stops
-    at the first join block holding a hit.
+    at the first block holding a hit.
 
     Args:
         m: Check matrix.

@@ -568,7 +568,7 @@ def pauli_distance(stab_x, stab_z, max_weight: int):
     stab_x @ ez + stab_z @ ex = 0, and logical iff (ex|ez) lies outside the
     row space of [stab_x | stab_z].  One SupportMatcher walks the
     undetected supports by increasing weight (the X, Z and Y syndrome
-    columns of a qubit form one group); each join block is tested for
+    columns of a qubit form one group); each search block is tested for
     row-space membership in one batch, and the search stops at the first
     block holding a non-stabilizer (SupportMatcher.least_weight).
 

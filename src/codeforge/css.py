@@ -122,8 +122,8 @@ class CssCode:
 
     def stabilizer_weight(self) -> int:
         """Max row weight across both blocks (reported, never enforced)."""
-        weights = [int(r.sum()) for r in self.hx] + [int(r.sum()) for r in self.hz]
-        return max(weights, default=0)
+        return max(int(h.sum(axis=1).max(initial=0))
+                   for h in (self.hx, self.hz))
 
     def __repr__(self):
         fam = self.metadata.get("family", "css")
@@ -172,7 +172,7 @@ def distance(c: CssCode, kind: str, max_weight: int):
         kind: 'X' scans ker hx minus rowspace(hz); 'Z' the mirror.
         max_weight: Search cap; SupportMatcher.least_weight walks the
             kernel supports by increasing weight and stops at the first
-            join block with a vector outside the stabilizer coset.
+            search block with a vector outside the stabilizer coset.
 
     Returns:
         Exact distance if found within the cap, else LowerBound(max_weight).

@@ -7,6 +7,11 @@ alist layout (1-based indices, zero-padded to the max degree):
     line 4: M row degrees
     next N lines: row indices of the ones in each column
     next M lines: column indices of the ones in each row
+
+Both directions work on whole arrays, with no loop per row or column:
+write_alist finds the ones in one pass and formats each block of lists
+from one padded array, and read_alist parses the file into one token
+array and checks it with array operations.
 """
 from __future__ import annotations
 
@@ -18,28 +23,47 @@ from . import f2
 def write_alist(m, path) -> None:
     """Write a 0/1 matrix to an alist file.
 
+    The ones are found in one pass over the matrix in row-major order,
+    which lists each row's columns in order; a stable sort by column
+    gives each column's rows in order.  Each block of lists is padded
+    into one integer array, mapped to strings through one table of the
+    numbers 0..max(M, N), and joined a line at a time.
+
     Args:
         m: Matrix of shape (M, N); stored column-major first per the format.
         path: Destination file path.
     """
     m = f2.as_f2(m)
     rows, cols = m.shape
-    col_idx = [list(np.nonzero(m[:, j])[0] + 1) for j in range(cols)]
-    row_idx = [list(np.nonzero(m[i, :])[0] + 1) for i in range(rows)]
-    max_dv = max((len(c) for c in col_idx), default=0)
-    max_dc = max((len(r) for r in row_idx), default=0)
+    # a matrix with no columns has no ones; max() only avoids a 0 divisor
+    r, c = np.divmod(np.flatnonzero(m.view(bool)), max(cols, 1))
+    by_col = np.argsort(c, kind="stable")
+    col_lists, col_deg = _padded(c[by_col], r[by_col] + 1, cols)
+    row_lists, row_deg = _padded(r, c + 1, rows)
+    names = np.array(list(map(str, range(max(rows, cols) + 1))),
+                     dtype=object)
     lines = [
         f"{cols} {rows}",
-        f"{max_dv} {max_dc}",
-        " ".join(str(len(c)) for c in col_idx),
-        " ".join(str(len(r)) for r in row_idx),
+        f"{col_lists.shape[1]} {row_lists.shape[1]}",
+        " ".join(names[col_deg].tolist()),
+        " ".join(names[row_deg].tolist()),
+        *map(" ".join, names[col_lists].tolist()),
+        *map(" ".join, names[row_lists].tolist()),
     ]
-    for c in col_idx:
-        lines.append(" ".join(str(i) for i in c + [0] * (max_dv - len(c))))
-    for r in row_idx:
-        lines.append(" ".join(str(i) for i in r + [0] * (max_dc - len(r))))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _padded(owner, entries, count):
+    """(lists, degrees): the entries of each of count lists, given
+    grouped by a nondecreasing owner, as the rows of an int array padded
+    with 0 to the largest degree, and each list's degree."""
+    deg = np.bincount(owner, minlength=count)
+    lists = np.zeros((count, deg.max(initial=0)), dtype=np.int64)
+    # an entry's place in its list: its position less its list's start
+    place = np.arange(len(owner)) - (np.cumsum(deg) - deg)[owner]
+    lists[owner, place] = entries
+    return lists, deg
 
 
 def read_alist(path) -> np.ndarray:

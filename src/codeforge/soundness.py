@@ -205,11 +205,12 @@ def soundness_scan(syndrome_map, t: int, f=quarter_square,
     ach @ s = 0 for the annihilator ach of the image, so the achievable
     syndromes of weight w are the zero-XOR supports of weight w of the
     columns of ach.  One SupportMatcher lists them in lexicographic
-    order, with vectorised table joins rather than a walk over all
-    C(m, w) supports, so the full weight shell is cheap.  Their search
-    keys and words are XORs of those of the unit vectors, and one
-    find_min_batch call over the columns of d answers every syndrome of
-    one weight; the report is then read off its result arrays.
+    order, read off runs of equal keys in sorted tables (the target is
+    0) rather than a walk over all C(m, w) supports, so the full weight
+    shell is cheap.  Their search keys and words are XORs of those of
+    the unit vectors, and one find_min_batch call over the columns of d
+    answers every syndrome of one weight; the report is then read off
+    its result arrays.
 
     Args:
         syndrome_map: The map d; errors live on its columns.

@@ -47,6 +47,29 @@ def _single_shot_trial(model, e, u, budget=4):
     return rw, not isinstance(rw, LowerBound) and Fraction(rw) <= bound
 
 
+def _loop_write_alist(m, path):
+    """The column-at-a-time alist writer that matio.write_alist
+    replaced, kept as its oracle."""
+    m = f2.as_f2(m)
+    rows, cols = m.shape
+    col_idx = [list(np.nonzero(m[:, j])[0] + 1) for j in range(cols)]
+    row_idx = [list(np.nonzero(m[i, :])[0] + 1) for i in range(rows)]
+    max_dv = max((len(c) for c in col_idx), default=0)
+    max_dc = max((len(r) for r in row_idx), default=0)
+    lines = [
+        f"{cols} {rows}",
+        f"{max_dv} {max_dc}",
+        " ".join(str(len(c)) for c in col_idx),
+        " ".join(str(len(r)) for r in row_idx),
+    ]
+    for c in col_idx:
+        lines.append(" ".join(str(i) for i in c + [0] * (max_dv - len(c))))
+    for r in row_idx:
+        lines.append(" ".join(str(i) for i in r + [0] * (max_dc - len(r))))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 @pytest.fixture
 def tanner_components():
     return _tanner_components
@@ -55,3 +78,8 @@ def tanner_components():
 @pytest.fixture
 def single_shot_trial():
     return _single_shot_trial
+
+
+@pytest.fixture(scope="session")
+def loop_write_alist():
+    return _loop_write_alist

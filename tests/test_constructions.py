@@ -314,25 +314,35 @@ def test_pauli_distance_matches_brute_on_random_stabilizers(block, seed):
 def test_distance_searches_stop_mid_shell(monkeypatch):
     """On the 4x4 toric code (d = 4) with join blocks of 3 pairs, the
     weight-4 shell opens with blocks holding stabilizers only: both
-    distance searches pass them and stop at a later block."""
+    distance searches pass them and stop at a later block, before the
+    shell's last one."""
     monkeypatch.setattr(classical, "_BLOCK", 3)
     batch = f2.RowSpaceTester.contains_batch
     all_stabilizers = []
+    every_block = False
 
     def spy(self, vs):
         got = batch(self, vs)
         all_stabilizers.append(bool(got.all()))
-        return got
+        # a walk of the whole shell: every block holds stabilizers only
+        return np.ones_like(got) if every_block else got
 
     monkeypatch.setattr(f2.RowSpaceTester, "contains_batch", spy)
     rep4 = classical.repetition_closed_loop(4)
     c = cons.hgp(rep4.h, rep4.h).css
-    for search in (lambda: css.distance(c, "X", 4),
-                   lambda: css.distance(c, "Z", 4),
-                   lambda: cons.pauli_distance(c.stab_x, c.stab_z, 4)):
+    for search in (lambda cap: css.distance(c, "X", cap),
+                   lambda cap: css.distance(c, "Z", cap),
+                   lambda cap: cons.pauli_distance(c.stab_x, c.stab_z, cap)):
+        every_block = False
         all_stabilizers.clear()
-        assert search() == 4
+        assert search(4) == 4
         assert all_stabilizers[0] and not all_stabilizers[-1]
+        # no support weighs 1 to 3, so every tested block is of weight 4
+        stopped_after = len(all_stabilizers)
+        every_block = True
+        all_stabilizers.clear()
+        assert search(4) == LowerBound(4)
+        assert stopped_after < len(all_stabilizers)
 
 
 def test_pauli_distance_lower_bound():

@@ -145,3 +145,6 @@ def test_export_load_roundtrip(tmp_path):
 def test_stabilizer_weight_report():
     c = toric18()
     assert c.stabilizer_weight() == 4  # toric plaquette/vertex weight
+    # the max of each block, and 0 for blocks with no rows
+    assert CssCode(f2.identity(3), f2.zeros(0, 3)).stabilizer_weight() == 1
+    assert CssCode(f2.zeros(0, 3), f2.zeros(0, 3)).stabilizer_weight() == 0

@@ -167,6 +167,17 @@ def test_read_alist_matches_loop_on_valid_files(tmp_path_factory, m):
     assert (got == m).all() and (got == loop_read_alist(p)).all()
 
 
+@given(matrices())
+@settings(max_examples=200, deadline=None)
+def test_write_alist_matches_loop_writer(tmp_path_factory, loop_write_alist,
+                                         m):
+    # empty lists, 0 rows and 0 columns included
+    tmp = tmp_path_factory.mktemp("write")
+    matio.write_alist(m, tmp / "new.alist")
+    loop_write_alist(m, tmp / "old.alist")
+    assert (tmp / "new.alist").read_bytes() == (tmp / "old.alist").read_bytes()
+
+
 @given(matrices(), st.lists(edits, min_size=1, max_size=3))
 @settings(max_examples=400, deadline=None)
 def test_read_alist_rejects_as_the_loop_reader(tmp_path_factory, m, changes):

@@ -333,6 +333,105 @@ def test_key_ghosts_are_rejected_on_value():
         assert len(by_key) > len(brute_supports(entries, weight, 0))
 
 
+def zero_case(seed):
+    """Entries with many zero-XOR supports, and a key ghost.
+
+    Groups hold Pauli triples X, Z, Y = X ^ Z, the zero value, or one
+    value that often repeats an earlier one, so runs of three or more
+    equal keys are common; above 64 bits a repeat may differ by the
+    ghost, a nonzero value whose key is 0 (key_ghost), which a search on
+    keys alone would take for a repeat.
+    """
+    rng = random.Random(seed)
+    bits = rng.choice((6, 16, 100))
+    ghost = key_ghost(rng, bits) if bits > 64 else 0
+    entries = []
+    for g in range(rng.randint(1, 10)):
+        kind = rng.random()
+        if kind < 0.3:
+            x, z = rng.getrandbits(bits), rng.getrandbits(bits)
+            entries += [(g, "X", x), (g, "Z", z), (g, "Y", x ^ z)]
+        elif kind < 0.4:
+            entries.append((g, 0, 0))
+        elif entries and kind < 0.8:
+            v = rng.choice(entries)[2] ^ rng.choice((0, 0, ghost))
+            entries.append((g, 0, v))
+        else:
+            entries.append((g, 0, rng.getrandbits(bits)))
+    return entries, ghost
+
+
+@pytest.mark.parametrize("block", [classical._BLOCK, 3])
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_zero_target_reads_match_brute(block, seed):
+    entries, ghost = zero_case(seed)
+    rng = random.Random(seed)
+    want = {w: brute_supports(entries, w, 0) for w in range(5)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "_BLOCK", block)
+        matcher = SupportMatcher(entries)
+        for w in range(5):
+            assert [tuple(r) for r in matcher.supports(w).tolist()] == want[w]
+            # a ghost target has key 0 too, so it takes the same reads
+            assert ([tuple(r) for r in matcher.supports(w, ghost).tolist()]
+                    == brute_supports(entries, w, ghost))
+        cap = rng.randint(1, 4)
+        first = min((w for w in range(1, cap + 1) if want[w]),
+                    default=None)
+        assert matcher.least_weight(cap) == (
+            LowerBound(cap) if first is None else first)
+        # keep accepts a random part of the supports; the search must
+        # stop at the first block that holds one of them
+        accepted = {s for w in range(1, 5) for s in want[w]
+                    if rng.random() < 0.3}
+        seen = []
+
+        def keep(rows):
+            rows = [tuple(r) for r in rows.tolist()]
+            seen.append(rows)
+            return any(r in accepted for r in rows)
+
+        got = matcher.least_weight(cap, keep)
+    first = min((len(s) for s in accepted if len(s) <= cap), default=None)
+    assert got == (LowerBound(cap) if first is None else first)
+    for rows in seen:
+        w = len(rows[0])
+        assert set(rows) <= set(want[w])
+        assert w == 1 or len(rows) <= block
+    hits = [any(r in accepted for r in rows) for rows in seen]
+    if first is None:
+        assert not any(hits)
+    else:
+        assert hits == [False] * (len(hits) - 1) + [True]
+
+
+@pytest.mark.parametrize("block", [classical._BLOCK, 3])
+def test_zero_entry_sends_weight_5_to_a_zero_target_after_it(block,
+                                                             monkeypatch):
+    """The weight-5 search recurses on its first entry; the zero entry
+    leaves the target 0 for the entries after it, which must not reach
+    back to entries before it."""
+    rng = random.Random(5)
+    a, b, c = (rng.getrandbits(16) for _ in range(3))
+    entries = [(0, 0, a), (1, 0, b), (2, 0, a ^ b), (3, 0, 0),
+               (4, 0, c), (5, 0, c), (6, 0, a), (7, 0, b ^ c),
+               (8, 0, a ^ c)]
+    monkeypatch.setattr(classical, "_BLOCK", block)
+    matcher = SupportMatcher(entries)
+    for target in (0, a, b ^ c):
+        for weight in (4, 5):
+            want = brute_supports(entries, weight, target)
+            got = matcher.supports(weight, target).tolist()
+            assert [tuple(row) for row in got] == want
+            assert matcher.find(target, weight) == (
+                None if not want else [entries[i][:2] for i in want[0]])
+            # a zero target from entry 4 on
+            want = [s for s in want if s[0] >= 4]
+            assert matcher.find(target, weight, 3) == (
+                None if not want else [entries[i][:2] for i in want[0]])
+
+
 def brute_reduced_weight(model, e):
     """Exhaust the full generator span (rank kept small by the fixtures)."""
     gens = np.concatenate([model.xpart, model.zpart], axis=1)
