@@ -551,14 +551,13 @@ def xzzx3d(n: int) -> BlockTaggedCss:
 def code_distance(c: CssCode, max_weight: int):
     """Minimum logical Pauli weight of the whole code, up to max_weight.
 
-    Unpaired codes take the cheaper per-sector kernel/coset search;
-    paired codes run the symplectic search over all Pauli patterns.
+    Unpaired codes take the cheaper per-sector kernel/coset search over
+    both sectors in one css.distance call; paired codes run the
+    symplectic search over all Pauli patterns.
     """
     if c.paired:
         return pauli_distance(c.stab_x, c.stab_z, max_weight)
-    vals = [d for d in (css.distance(c, kind, max_weight) for kind in "XZ")
-            if not isinstance(d, LowerBound)]
-    return min(vals) if vals else LowerBound(max_weight)
+    return css.distance(c, "XZ", max_weight)
 
 
 def pauli_distance(stab_x, stab_z, max_weight: int):

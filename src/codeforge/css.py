@@ -169,29 +169,36 @@ def distance(c: CssCode, kind: str, max_weight: int):
 
     Args:
         c: An unpaired code with k >= 1.
-        kind: 'X' scans ker hx minus rowspace(hz); 'Z' the mirror.
+        kind: 'X' scans ker hx minus rowspace(hz); 'Z' the mirror; 'XZ'
+            both, for the code distance with one k >= 1 check.
         max_weight: Search cap; SupportMatcher.least_weight walks the
             kernel supports by increasing weight and stops at the first
             search block with a vector outside the stabilizer coset.
 
     Returns:
-        Exact distance if found within the cap, else LowerBound(max_weight).
+        The least exact distance found within the cap over the scanned
+        kinds, else LowerBound(max_weight).
     """
-    if kind not in ("X", "Z"):
-        raise ValueError("kind must be 'X' or 'Z'")
+    if kind not in ("X", "Z", "XZ"):
+        raise ValueError("kind must be 'X', 'Z' or 'XZ'")
     if logical_count(c) < 1:
         raise NoLogicalsError("code has no logical qubits")
-    ker_of = c.hx if kind == "X" else c.hz
-    excl = f2.RowSpaceTester(c.hz if kind == "X" else c.hx)
 
-    def logical(supp):
-        # entry j of a column matcher is column j
-        hits = np.zeros((len(supp), c.n), dtype=np.uint8)
-        hits[np.arange(len(supp))[:, None], supp] = 1
-        return not excl.contains_batch(hits).all()
+    def sector(k):
+        ker_of, excl_of = (c.hx, c.hz) if k == "X" else (c.hz, c.hx)
+        excl = f2.RowSpaceTester(excl_of)
 
-    return classical.SupportMatcher.for_columns(ker_of).least_weight(
-        max_weight, logical)
+        def logical(supp):
+            # entry j of a column matcher is column j
+            hits = np.zeros((len(supp), c.n), dtype=np.uint8)
+            hits[np.arange(len(supp))[:, None], supp] = 1
+            return not excl.contains_batch(hits).all()
+
+        return classical.SupportMatcher.for_columns(ker_of).least_weight(
+            max_weight, logical)
+
+    found = [d for d in map(sector, kind) if not isinstance(d, LowerBound)]
+    return min(found, default=LowerBound(max_weight))
 
 
 def export_bundle(c: CssCode, outdir, extra: dict | None = None) -> None:

@@ -9,7 +9,9 @@ into uint64 words and, for every nonzero a[i, k] of the left operand,
 XORs packed row k into output row i.  Every step is an exact XOR, so
 there is no size limit, and the work is nnz(a) * ceil(n / 64) word XORs,
 which suits the sparse (LDPC) operands the constructions pass.  Row
-reduction works on uint8 rows with numpy XOR.
+reduction holds each row as one Python int (bit c = column c) and
+reduces it against a dict of echelon rows keyed by pivot, the column of
+their lowest set bit, so each step is one XOR of a whole row.
 """
 from __future__ import annotations
 
@@ -122,54 +124,59 @@ def mat_vec(a, v) -> np.ndarray:
     return (a @ v) & 1
 
 
-def row_echelon(m, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2) via XOR elimination.
+def _echelon(m: np.ndarray) -> dict[int, int]:
+    """The rows of a checked matrix in echelon form: Python ints (bit c =
+    column c) keyed by pivot, the column of their lowest set bit.  Each
+    row is reduced against the kept rows until it is 0 or has a new
+    pivot, one XOR of a whole row a step, with no back-substitution.
+    Small-int keys: a big-int key would be hashed anew at each lookup."""
+    packed = np.packbits(m, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    basis: dict[int, int] = {}
+    for start in range(0, len(raw), width or 1):
+        x = int.from_bytes(raw[start:start + width], "little")
+        while x and (c := (x & -x).bit_length() - 1) in basis:
+            x ^= basis[c]
+        if x:
+            basis[c] = x
+    return basis
 
-    Pivoting is first-nonzero in column order, so the result is canonical
-    for a given input (exact field, no tie-breaking sensitivity).
 
-    Args:
-        m: Input matrix; not modified.
-        ncols: Restrict pivot search to the first ncols columns.  Elimination
-            still applies to full rows, which makes [A | I] augmentation give
-            the transform matrix.
+def _unpack(basis: dict[int, int], cols: int) -> tuple[np.ndarray, list[int]]:
+    """The rows of basis in pivot order as a uint8 matrix, and the pivots."""
+    pivots = sorted(basis)
+    width = -(-cols // 8)
+    raw = b"".join(basis[c].to_bytes(width, "little") for c in pivots)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(pivots), width)
+    return np.unpackbits(rows, axis=1, count=cols, bitorder="little"), pivots
+
+
+def row_echelon(m) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(2), canonical since it is unique:
+    the rows of _echelon back-substituted in decreasing pivot order
+    against the rows already reduced.
 
     Returns:
-        (r, pivot_cols): the RREF matrix and the list of pivot column indices.
+        (r, pivot_cols): the RREF of m's shape, zero rows last, and the
+        increasing pivot column indices.
     """
-    r = as_f2(m).copy()
-    rows, cols = r.shape
-    if ncols is None:
-        ncols = cols
-    pivot_cols: list[int] = []
-    prow = 0
-    for c in range(ncols):
-        if prow >= rows:
-            break
-        hits = np.nonzero(r[prow:, c])[0]
-        if hits.size == 0:
-            continue
-        p = prow + int(hits[0])
-        if p != prow:
-            r[[prow, p]] = r[[p, prow]]
-        # clear every other 1 in this column (full reduction)
-        others = np.nonzero(r[:, c])[0]
-        others = others[others != prow]
-        if others.size:
-            r[others] ^= r[prow]
-        pivot_cols.append(c)
-        prow += 1
-    return r, pivot_cols
+    m = as_f2(m)
+    basis = _echelon(m)
+    mask = sum(1 << c for c in basis)
+    for c in sorted(basis, reverse=True):
+        # a reduced row has no pivot bit but its own, so one XOR each
+        y = (basis[c] & mask) ^ (1 << c)
+        while y:
+            bit = y & -y
+            basis[c] ^= basis[bit.bit_length() - 1]
+            y ^= bit
+    r, pivots = _unpack(basis, m.shape[1])
+    return np.concatenate([r, zeros(len(m) - len(r), r.shape[1])]), pivots
 
 
 def rank(m) -> int:
-    """Rank over GF(2).
-
-    Returns:
-        dim(im m), computed by Gaussian elimination.
-    """
-    _, pivots = row_echelon(m)
-    return len(pivots)
+    """Rank over GF(2): the number of echelon rows."""
+    return len(_echelon(as_f2(m)))
 
 
 def kernel_basis(m) -> np.ndarray:
@@ -178,8 +185,6 @@ def kernel_basis(m) -> np.ndarray:
     The basis is derived from the RREF in the standard way: row i is the
     vector with a 1 at the i-th free (non-pivot) column and, at each
     pivot column, the RREF entry of that pivot's row in the free column.
-    So it is deterministic for a given input.  Built with whole-array
-    assignments from a boolean free-column mask.
 
     Args:
         m: Matrix of shape (rows, n); 0 rows or 0 columns are legal.
@@ -187,9 +192,8 @@ def kernel_basis(m) -> np.ndarray:
     Returns:
         Array of shape (n - rank, n) whose rows are the basis vectors.
     """
-    m = as_f2(m)
-    n = m.shape[1]
     r, pivots = row_echelon(m)
+    n = r.shape[1]
     free = np.ones(n, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
@@ -261,16 +265,12 @@ def block_compose(layout) -> np.ndarray:
 
 
 class RowSpaceTester:
-    """Repeated membership tests against a fixed row space.
-
-    Precomputes the RREF once; each query is a single elimination pass.
-    """
+    """Repeated membership tests against a fixed row space: the echelon
+    rows in pivot order, each query one elimination pass in that order."""
 
     def __init__(self, m):
         m = as_f2(m)
-        self.n = m.shape[1]
-        self.rref, self.pivots = row_echelon(m)
-        self.rref = self.rref[: len(self.pivots)]
+        self.rows, self.pivots = _unpack(_echelon(m), m.shape[1])
 
     def contains_batch(self, vs) -> np.ndarray:
         """Vectorized membership for a (count, n) stack of row vectors."""
@@ -278,7 +278,7 @@ class RowSpaceTester:
         for prow, pc in enumerate(self.pivots):
             hit = vs[:, pc].astype(bool)
             if hit.any():
-                vs[hit] ^= self.rref[prow]
+                vs[hit] ^= self.rows[prow]
         return ~vs.any(axis=1)
 
 

@@ -70,6 +70,32 @@ def _loop_write_alist(m, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _loop_row_echelon(m):
+    """The column-at-a-time RREF that f2.row_echelon replaced, kept as
+    its oracle: one pivot search and one row XOR per column."""
+    r = f2.as_f2(m).copy()
+    rows, cols = r.shape
+    pivot_cols: list[int] = []
+    prow = 0
+    for c in range(cols):
+        if prow >= rows:
+            break
+        hits = np.nonzero(r[prow:, c])[0]
+        if hits.size == 0:
+            continue
+        p = prow + int(hits[0])
+        if p != prow:
+            r[[prow, p]] = r[[p, prow]]
+        # clear every other 1 in this column (full reduction)
+        others = np.nonzero(r[:, c])[0]
+        others = others[others != prow]
+        if others.size:
+            r[others] ^= r[prow]
+        pivot_cols.append(c)
+        prow += 1
+    return r, pivot_cols
+
+
 @pytest.fixture
 def tanner_components():
     return _tanner_components
@@ -83,3 +109,8 @@ def single_shot_trial():
 @pytest.fixture(scope="session")
 def loop_write_alist():
     return _loop_write_alist
+
+
+@pytest.fixture(scope="session")
+def loop_row_echelon():
+    return _loop_row_echelon

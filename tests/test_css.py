@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from codeforge import classical, css, f2
-from codeforge.constructions import bssh, hgp
+from codeforge.constructions import bssh, code_distance, hgp
 from codeforge.css import (CssCode, CssValidationError, NoLogicalsError,
                            PauliError)
 
@@ -99,6 +99,8 @@ def test_distance_matches_full_enumeration(block, monkeypatch):
     c = hgp(rep2.h, rep2.h).css  # 8 qubits
     for kind in "XZ":
         assert css.distance(c, kind, 8) == brute_css_distance(c, kind)
+    assert css.distance(c, "XZ", 8) == min(brute_css_distance(c, kind)
+                                           for kind in "XZ")
 
 
 def test_distance_lower_bound_and_errors():
@@ -110,6 +112,21 @@ def test_distance_lower_bound_and_errors():
     full = CssCode(f2.identity(3), f2.zeros(0, 3))
     with pytest.raises(NoLogicalsError):
         css.distance(full, "X", 2)
+
+
+def test_code_distance_counts_logicals_once(monkeypatch):
+    counted = []
+    count = css.logical_count
+    monkeypatch.setattr(css, "logical_count",
+                        lambda c: counted.append(c) or count(c))
+    assert code_distance(toric18(), 3) == 3
+    assert len(counted) == 1
+    full = CssCode(f2.identity(3), f2.zeros(0, 3))
+    for search in (lambda: code_distance(full, 2),
+                   lambda: css.distance(full, "Z", 2)):
+        with pytest.raises(NoLogicalsError,
+                           match="^code has no logical qubits$"):
+            search()
 
 
 def test_tanner_components_block_diagonal(tanner_components):

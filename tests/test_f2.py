@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codeforge import f2
+from codeforge import classical, f2
+from codeforge import constructions as cons
 
 REP3 = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
 HAM = np.array([[0, 0, 0, 1, 1, 1, 1],
@@ -328,10 +329,11 @@ def test_columns_as_ints_roundtrip():
     assert ints[6] == f2.columns_as_ints(np.ones((3, 1), dtype=np.uint8))[0]
 
 
-def loop_kernel_basis(m):
-    """The per-element RREF copy kernel_basis used to make."""
+def loop_kernel_basis(m, row_echelon):
+    """The per-element RREF copy kernel_basis used to make, taken from
+    the given row_echelon."""
     n = m.shape[1]
-    r, pivots = f2.row_echelon(m)
+    r, pivots = row_echelon(m)
     free = [c for c in range(n) if c not in set(pivots)]
     basis = np.zeros((len(free), n), dtype=np.uint8)
     for i, fc in enumerate(free):
@@ -358,21 +360,75 @@ def shaped(draw, rows=st.integers(0, 12), cols=st.integers(0, 12)):
 
 @given(shaped())
 @settings(max_examples=200, deadline=None)
-def test_kernel_basis_matches_loop(m):
+def test_kernel_basis_matches_loop(loop_row_echelon, m):
     got = f2.kernel_basis(m)
+    want = loop_kernel_basis(m, loop_row_echelon)
     assert got.dtype == np.uint8
-    assert got.shape == loop_kernel_basis(m).shape
-    assert (got == loop_kernel_basis(m)).all()
+    assert got.shape == want.shape
+    assert (got == want).all()
 
 
 @pytest.mark.parametrize("m", [
     f2.zeros(0, 0), f2.zeros(0, 5), f2.zeros(4, 0), f2.zeros(3, 5),
     f2.identity(4), np.ones((3, 6), dtype=np.uint8), REP3, HAM],
     ids=["0x0", "0x5", "4x0", "rank0", "full", "ones", "rep3", "ham"])
-def test_kernel_basis_matches_loop_edges(m):
+def test_kernel_basis_matches_loop_edges(loop_row_echelon, m):
     got = f2.kernel_basis(m)
     assert got.shape == (m.shape[1] - f2.rank(m), m.shape[1])
-    assert (got == loop_kernel_basis(m)).all()
+    assert (got == loop_kernel_basis(m, loop_row_echelon)).all()
+
+
+@st.composite
+def eliminated(draw):
+    """A 0/1 matrix for the elimination kernels: widths on and off the
+    8- and 64-bit boundaries, rows above columns, sparse to dense fills,
+    and some rows zeroed or copied from others."""
+    rows = draw(st.integers(0, 70))
+    cols = draw(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 129])
+                | st.integers(0, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dens = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]) | st.floats(0, 1))
+    m = (rng.random((rows, cols)) < dens).astype(np.uint8)
+    if rows and draw(st.booleans()):
+        m[rng.integers(0, rows, rows // 3 + 1)] = 0
+    if rows and draw(st.booleans()):
+        k = rows // 3 + 1
+        m[rng.integers(0, rows, k)] = m[rng.integers(0, rows, k)]
+    return m
+
+
+def check_elimination(m, loop_row_echelon, rng):
+    """row_echelon, rank, kernel_basis and RowSpaceTester against the
+    column-loop RREF oracle, on row-space members and random vectors."""
+    want, want_pivots = loop_row_echelon(m)
+    got, pivots = f2.row_echelon(m)
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert pivots == want_pivots and (got == want).all()
+    assert f2.rank(m) == len(want_pivots)
+    assert (f2.kernel_basis(m) == loop_kernel_basis(m, loop_row_echelon)).all()
+    rows, cols = m.shape
+    members = rng.integers(0, 2, (8, rows)) @ m.astype(np.int64) % 2
+    others = rng.random((8, cols)) < rng.choice([0.02, 0.1, 0.5])
+    vs = np.concatenate([members, others]).astype(np.uint8)
+    # v is in the row space iff stacking it on m keeps the rank
+    inside = [len(loop_row_echelon(np.vstack([m, v]))[1]) == len(want_pivots)
+              for v in vs]
+    assert f2.RowSpaceTester(m).contains_batch(vs).tolist() == inside
+    assert all(inside[:8])
+
+
+@given(eliminated(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_column_loop(loop_row_echelon, m, seed):
+    check_elimination(m, loop_row_echelon, np.random.default_rng(seed))
+
+
+def test_elimination_matches_column_loop_on_sehgp_rep3(loop_row_echelon):
+    rep3 = classical.repetition_closed_loop(3)
+    c = cons.sehgp(rep3, rep3, rep3, rep3).tagged.css
+    m = np.concatenate([c.stab_x, c.stab_z], axis=1)
+    assert m.shape == (648, 972) and f2.rank(m) == 486 - 6
+    check_elimination(m, loop_row_echelon, np.random.default_rng(3))
 
 
 @given(shaped(rows=st.sampled_from([0, 1, 7, 8, 9, 64, 65]),
