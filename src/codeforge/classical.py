@@ -68,67 +68,39 @@ def _key_tables(nbytes: int) -> np.ndarray:
     return tables
 
 
-class _KeyIndex:
-    """Items sorted by key, addressed directly by the keys' top bits.
-
-    Bucket b, the items whose key starts with the bits of b, is
-    keys[offsets[b]:offsets[b + 1]].  The bucket count is the least power
-    of two at or above the item count, times 8 up to 2^16 buckets: a
-    bucket holds 0.5 to 1 items on average in a large index, and 1/16 to
-    1/8 in a small one, where most of a batch's many queries then stop
-    at an empty bucket.
-    """
-
-    def __init__(self, keys: np.ndarray, cols: list[np.ndarray]):
-        self.keys, self.cols = keys, cols
-        bits = max(1, (len(keys) - 1).bit_length())
-        bits = max(bits, min(bits + 3, 16))
-        self.shift = np.uint64(64 - bits)
-        # bucket sizes, counted a block of sorted keys at a time, then
-        # summed in place into bucket starts
-        self.offsets = np.zeros((1 << bits) + 1, dtype=np.int32)
-        for s in range(0, len(keys), _BLOCK):
-            top = (keys[s:s + _BLOCK] >> self.shift).astype(np.intp)
-            self.offsets[top[0] + 1:top[-1] + 2] += np.bincount(top - top[0])
-        np.cumsum(self.offsets, out=self.offsets)
-
-    def probe(self, q: np.ndarray):
-        """(query, item) positions of every item whose key equals a query."""
-        if not len(self.keys):
-            return np.zeros((2, 0), dtype=np.intp)
-        bucket = (q >> self.shift).astype(np.intp)
-        lo = self.offsets[bucket]
-        # keys are sorted, so a query below the first key at or after its
-        # bucket's start has no match: its bucket is empty, or starts
-        # above it (a start past the end clips to a smaller key)
-        live = (self.keys.take(lo, mode="clip") <= q).nonzero()[0]
-        lo = lo[live]
-        count = self.offsets[1:][bucket[live]] - lo
-        qi = np.repeat(live, count)
-        # item position: lo of the query's bucket plus the offset within it
-        ii = np.arange(len(qi)) + np.repeat(lo - np.cumsum(count) + count,
-                                            count)
-        same = self.keys[ii] == q[qi]
-        return qi[same], ii[same]
-
-
 class _Sorted:
     """Items sorted by key, one uint64 word each: the item's key with its
     low `bits` = bit_length(count - 1) bits replaced by its ordinal.
 
     Keys are compared on their high 64 - bits bits only, so a run of
     equal keys lists its items by ordinal; a false match costs one value
-    check (SupportMatcher._exact).
+    check (SupportMatcher._exact).  span looks keys up by binary search.
+    probe, for the weight-4 join's many queries, reads an int32 start
+    offset per bucket of the words' top bits instead, counted at its
+    first call: about 4 times faster a query, but the count costs about
+    20 ms for a million words, so weights 1 to 3, with at most one
+    lookup per target and entry, use span.  The bucket count is the
+    least power of two at or above the item count, times 8 up to 2^16
+    buckets, so a bucket holds 0.5 to 1 items on average in a large
+    table, and 1/16 to 1/8 in a small one, where most of a batch's many
+    queries then stop at an empty bucket.
     """
 
-    def __init__(self, keys: np.ndarray):
-        """Sort keys, which it takes over and overwrites, as words."""
-        self.bits = np.uint64(max(0, len(keys) - 1).bit_length())
-        self.low = np.uint64((1 << int(self.bits)) - 1)
-        keys &= ~self.low
-        keys |= np.arange(len(keys), dtype=np.uint64)
-        keys.sort()
-        self.words = keys
+    def __init__(self, count: int, blocks):
+        """Fill one array from (s, keys) blocks that hold the keys of
+        items s, s + 1, ..., each with its ordinal in the low bits, then
+        sort it in place."""
+        bits = max(0, count - 1).bit_length()
+        self.bits, self.low = np.uint64(bits), np.uint64((1 << bits) - 1)
+        self.words = np.empty(count, dtype=np.uint64)
+        for s, keys in blocks:
+            part = self.words[s:s + len(keys)]
+            np.bitwise_and(keys, ~self.low, out=part)
+            part |= np.arange(s, s + len(keys), dtype=np.uint64)
+        self.words.sort()
+        top = max(1, (count - 1).bit_length())
+        self._shift = np.uint64(64 - max(top, min(top + 3, 16)))
+        self._offsets = None
 
     def ordinals(self, pos: np.ndarray) -> np.ndarray:
         """The ordinals of the items at the given positions."""
@@ -143,15 +115,50 @@ class _Sorted:
         """(kept, later): the positions of the items that share their key
         with another item, in order, and for each the count of items
         after it with the same key."""
-        high = self.words >> self.bits
-        same = high[1:] == high[:-1]
-        keep = np.zeros(len(high), dtype=bool)
+        words = self.words
+        # same[i]: items i and i + 1 share their key, read a block at a time
+        same = np.empty(max(0, len(words) - 1), dtype=bool)
+        for s in range(0, len(same), _BLOCK):
+            e = min(s + _BLOCK, len(same))
+            np.less_equal(words[s + 1:e + 1] ^ words[s:e], self.low,
+                          out=same[s:e])
+        keep = np.zeros(len(words), dtype=bool)
         keep[1:] = same
         keep[:-1] |= same
         kept = keep.nonzero()[0]
-        high = high[kept]
+        high = words[kept] >> self.bits
         return kept, (np.searchsorted(high, high, side="right")
                       - np.arange(1, len(kept) + 1))
+
+    def probe(self, q: np.ndarray):
+        """(query, position) of every item whose key equals a query's."""
+        words = self.words
+        if not len(words):
+            return np.zeros((2, 0), dtype=np.intp)
+        if self._offsets is None:
+            # bucket sizes, counted a block of words at a time, then
+            # summed in place into bucket starts
+            self._offsets = np.zeros((1 << (64 - int(self._shift))) + 1,
+                                     dtype=np.int32)
+            for s in range(0, len(words), _BLOCK):
+                top = (words[s:s + _BLOCK] >> self._shift).astype(np.intp)
+                self._offsets[top[0] + 1:top[-1] + 2] += np.bincount(
+                    top - top[0])
+            np.cumsum(self._offsets, out=self._offsets)
+        bucket = (q >> self._shift).astype(np.intp)
+        lo = self._offsets[bucket]
+        # words are sorted, so a query keyed below the first word at or
+        # after its bucket's start has no match: its bucket is empty, or
+        # starts above it (a start past the end clips to a smaller word)
+        live = (words.take(lo, mode="clip") <= (q | self.low)).nonzero()[0]
+        lo = lo[live]
+        count = self._offsets[1:][bucket[live]] - lo
+        qi = np.repeat(live, count)
+        # item position: lo of the query's bucket plus the offset within it
+        ii = np.arange(len(qi)) + np.repeat(lo - np.cumsum(count) + count,
+                                            count)
+        same = (words[ii] ^ q[qi]) <= self.low
+        return qi[same], ii[same]
 
 
 class SupportMatcher:
@@ -173,40 +180,37 @@ class SupportMatcher:
     Cost, for n entries and T targets.  Each entry is keyed by a fixed
     random GF(2)-linear map of its value to 64 bits (_key_tables), so a
     set's key is the XOR of its entries' keys, and a target's key is
-    computed once per search (pack).
+    computed once per search (pack).  There is one table of the n
+    entries and one of the ~n^2/2 pairs of entries from different
+    groups, both _Sorted: one uint64 word an item, its key with its
+    ordinal in the low bits.  The pair table is built at the first
+    search of weight 2 or more, _BLOCK pairs at a time straight into its
+    one array, then sorted in place; it serves every later search.
 
-    - Weight 1 compares the target keys with the n entry keys.
+    - Weights 1 to 3 look keys up by binary search (span): weight 1 each
+      target's key in the entry table, weight 2 in the pair table, and
+      weight 3 the XOR of each target's key with the key of each entry
+      from `start` on, in the pair table.
+    - Weight 4 is a join of the pair table with itself: a query is one
+      (target, left pair), the left pairs those whose first entry is
+      `start` or later, and it looks the XOR of their keys up in the
+      pair table's bucket index (probe).
     - A search for one target whose key is 0 from entry 0 on (every
-      least_weight, and supports(w) of target 0: the soundness scan's
-      achievable syndromes) reads weights 2 to 4 off runs of equal keys
-      in sorted tables (_Sorted), with no probe: weight 2 reads runs of
-      the sorted entry keys, weight 3 looks each entry key up in the
-      sorted pair keys by binary search, and weight 4 reads runs of the
-      sorted pair keys.  That table holds one uint64 word a pair, the
-      key with the pair's ordinal in its low bits, and is sorted once;
-      pair indices are decoded only for the pairs a read keeps.  A read
-      pairs an item with each later item of its run (or span), and
-      these candidates go through the group test and value check below.
-    - Every other search is one join of key-indexed tables: weight 2
-      joins the n entries with the entries, weight 3 the n entries with
-      the pair table, and weight 4 the pair table with itself.  That
-      takes every target batch, every target of nonzero key, every
-      start above entry 0 and the first-entry recursion of weight 5 up.
-    - The join's pair table holds all ~n^2/2 pairs of entries from
-      different groups: 8 bytes of key and two int32 indices a pair,
-      plus an int32 offset per bucket of key top bits, at 0.5 to 1 pairs
-      a bucket.  It is built at the first join of weight 3 or more.
-    - A join query is one (target, left item) pair.  It looks the XOR of
-      their keys up in its bucket, then compares full keys, then groups,
-      then full values one 64-bit word at a time.
-    - A join step takes at most _BLOCK queries (or one target and up to
-      _BLOCK left items), and a run read at most _BLOCK candidates, so
-      temporaries are bounded by the block and its matches, not by the
-      tables or the batch.  The weight-4 join's time grows with T times
-      the ~n^2/2 pairs, hit or miss; the weight-4 run read's with the
-      sort of the pairs and the pairs of equal key.  find keeps the
-      least support of each target in each step, and supports sorts the
-      rows of all steps once.
+      least_weight, and supports(4) of target 0 in the soundness scan)
+      reads weight 4 off runs of equal keys in the pair table instead,
+      with no probe: each word is paired with the later words of its
+      run.
+    - Pair positions are decoded to (first, second) entries only for the
+      words a read or probe keeps; each candidate then goes through the
+      group test and a full value check, one 64-bit word at a time.
+    - A step yields at most _BLOCK candidates, and a join step takes at
+      most _BLOCK queries (or one target and up to _BLOCK left pairs),
+      so temporaries are bounded by the block, not by the tables or the
+      batch.  The weight-4 join's time grows with T times the ~n^2/2
+      pairs, hit or miss; the weight-4 run read's with the pairs of
+      equal key.  find keeps the least support of each target in each
+      step, and supports sorts the rows of all steps once, so neither
+      depends on the order of the steps.
     - Weight 5 and up recurse on the first entry, one weight-4 join per
       entry, in increasing entry order; find stops for each target at
       the first entry with a completion.
@@ -223,11 +227,8 @@ class SupportMatcher:
         self._after = [bisect.bisect_right(self._groups, g)
                        for g in self._groups]
         self._arrays = None
-        self._by_key = None
+        self._singles = None
         self._pairs = None
-        self._entry_words = None
-        self._pair_words = None
-        self._pair_decode = None
 
     @classmethod
     def for_columns(cls, m) -> "SupportMatcher":
@@ -246,16 +247,20 @@ class SupportMatcher:
                                  ("Y", cols[q] ^ cols[n + q]))])
 
     def _tables(self):
-        """(words, keys, after, key tables, index): words[k] holds the
+        """(words, keys, after, key tables, starts): words[k] holds the
         k-th 64-bit word of every entry value, least significant word
         first; keys the entries' keys (see _key_tables); after the _after
-        list; index the entry indices 0..n-1 as int32."""
+        list; starts[i] the position of entry i's first pair, in the
+        order that lists pairs (i, j) by i, then j, and starts[n] the
+        pair count."""
         if self._arrays is None:
             width = max((v.bit_length() for v in self._values), default=0)
             tables = _key_tables(8 * max(1, -(-width // 64)))
             keys, words = _pack(self._values, tables)
-            self._arrays = (words, keys, np.array(self._after, dtype=np.int32),
-                            tables, np.arange(len(keys), dtype=np.int32))
+            after = np.array(self._after, dtype=np.intp)
+            starts = np.zeros(len(keys) + 1, dtype=np.intp)
+            np.cumsum(len(keys) - after, out=starts[1:])
+            self._arrays = (words, keys, after, tables, starts)
         return self._arrays
 
     def pack(self, values) -> tuple[np.ndarray, np.ndarray]:
@@ -270,103 +275,40 @@ class SupportMatcher:
             tables = _key_tables(8 * -(-width // 64))
         return _pack(values, tables)
 
-    def _entry_index(self) -> _KeyIndex:
-        if self._by_key is None:
-            keys = self._tables()[1]
-            order = np.argsort(keys).astype(np.int32)
-            self._by_key = _KeyIndex(keys[order], [order])
-        return self._by_key
+    def _pairs_of(self, pos: np.ndarray):
+        """(first, second) entry indices of pair positions."""
+        _, _, after, _, starts = self._tables()
+        first = np.searchsorted(starts, pos, side="right") - 1
+        return first, pos - starts[first] + after[first]
 
-    def _pair_keys(self):
-        """(keys, second, starts, shift) of every pair i < j of entries in
-        different groups, listed by i, then j: pair p is (i, p - shift[i])
-        for the i with starts[i] <= p < starts[i + 1], and keys[p] is the
-        key of its XOR."""
-        _, keys, after, _, _ = self._tables()
-        counts = len(keys) - after
-        # pairs (i, after[i]), ..., (i, n - 1) for each i in turn
-        starts = np.cumsum(counts, dtype=np.int32) - counts
-        shift = starts - after
-        second = np.arange(counts.sum(), dtype=np.int32)
-        second -= np.repeat(shift, counts)
-        pair_keys = np.repeat(keys, counts)
-        pair_keys ^= keys.take(second)
-        return pair_keys, second, starts, shift
+    def _pair_blocks(self):
+        """Yield (s, keys): the keys of pairs s, s + 1, ..., _BLOCK pairs
+        at a time, in position order."""
+        _, keys, after, _, starts = self._tables()
+        count = int(starts[-1])
+        for s in range(0, count, _BLOCK):
+            e = min(s + _BLOCK, count)
+            # the first entries of the block's pairs, each repeated for
+            # its pairs inside the block
+            rows = np.arange(np.searchsorted(starts, s, side="right") - 1,
+                             np.searchsorted(starts, e - 1, side="right"))
+            first = np.repeat(rows, np.minimum(starts[rows + 1], e)
+                              - np.maximum(starts[rows], s))
+            second = np.arange(s, e) - starts[first] + after[first]
+            yield s, keys.take(first) ^ keys.take(second)
 
-    def _pair_index(self) -> _KeyIndex:
-        """Every pair i < j of entries in different groups, indexed by
-        the key of their XOR, as (first, second) int32 columns."""
+    def _table(self, weight: int) -> _Sorted:
+        """The entries (weight 1) or the pairs as a _Sorted table, with
+        entry index or pair position as ordinal."""
+        if weight == 1:
+            if self._singles is None:
+                keys = self._tables()[1]
+                self._singles = _Sorted(len(keys), [(0, keys)])
+            return self._singles
         if self._pairs is None:
-            _, keys, after, _, _ = self._tables()
-            pair_keys, second, _, _ = self._pair_keys()
-            first = np.repeat(np.arange(len(keys), dtype=np.int32),
-                              len(keys) - after)
-            order = np.argsort(pair_keys)
-            # gathering the keys again costs less memory than permuting
-            del pair_keys
-            first, second = first.take(order), second.take(order)
-            del order
-            pair_keys = keys.take(first)
-            pair_keys ^= keys.take(second)
-            self._pairs = _KeyIndex(pair_keys, [first, second])
+            self._pairs = _Sorted(int(self._tables()[4][-1]),
+                                  self._pair_blocks())
         return self._pairs
-
-    def _sorted_entries(self) -> _Sorted:
-        """The entries' keys as a _Sorted table (ordinal = entry index)."""
-        if self._entry_words is None:
-            keys = self._tables()[1]
-            self._entry_words = _Sorted(keys.copy())
-        return self._entry_words
-
-    def _sorted_pairs(self) -> _Sorted:
-        """The pairs of _pair_keys as a _Sorted table (ordinal = pair
-        position), with what decodes a pair position."""
-        if self._pair_words is None:
-            pair_keys, second, starts, shift = self._pair_keys()
-            del second
-            self._pair_words = _Sorted(pair_keys)
-            self._pair_decode = (starts, shift)
-        return self._pair_words
-
-    def _pairs_of(self, ordinals: np.ndarray):
-        """(first, second) int32 entry indices of pair positions."""
-        starts, shift = self._pair_decode
-        first = (np.searchsorted(starts, ordinals, side="right")
-                 - 1).astype(np.int32)
-        return first, (ordinals - shift[first]).astype(np.int32)
-
-    def _zero_blocks(self, twords, weight: int):
-        """_blocks for one target whose key is 0, weight 2 to 4, from
-        entry 0 on: the candidates are the sets whose keys XOR to 0, read
-        off runs of equal keys in the sorted tables with no probe."""
-        after = self._tables()[2]
-        if weight == 3:
-            # entry a, then a pair (b, c) with the key of a
-            keys = self._tables()[1]
-            pairs = self._sorted_pairs()
-            lo, hi = pairs.span(keys)
-            for a, p in _spans(lo, hi - lo):
-                first, second = self._pairs_of(pairs.ordinals(p))
-                ok = first >= after.take(a)
-                yield self._exact(np.zeros(ok.sum(), dtype=np.intp),
-                                  np.column_stack([a[ok], first[ok],
-                                                   second[ok]]), twords)
-            return
-        table = self._sorted_pairs() if weight == 4 else self._sorted_entries()
-        kept, later = table.runs()
-        # the kept items as columns of entry indices, (a, b) or (a,)
-        ordinals = table.ordinals(kept)
-        cols = (self._pairs_of(ordinals) if weight == 4
-                else (ordinals.astype(np.int32),))
-        # a run lists its items by ordinal, so by first entry: each
-        # candidate is an item followed by a later one of its run
-        for left, right in _spans(np.arange(1, len(kept) + 1), later):
-            ok = cols[0][right] >= after.take(cols[-1][left])
-            left, right = left[ok], right[ok]
-            yield self._exact(np.zeros(len(left), dtype=np.intp),
-                              np.column_stack([c[left] for c in cols]
-                                              + [c[right] for c in cols]),
-                              twords)
 
     def find(self, target: int, weight: int, min_group: int = -1):
         """One support of exactly the given weight, as (group, tag) pairs
@@ -421,9 +363,9 @@ class SupportMatcher:
     def supports(self, weight: int, target: int = 0) -> np.ndarray:
         """Every support of the given weight whose values XOR to target.
 
-        A target whose key is 0, such as 0 itself, is read off runs of
-        equal keys at weights 2 to 4; any other goes through the joins
-        (see the class docstring).
+        Weights 1 to 3 are span lookups and weights 4 and up joins; a
+        target whose key is 0, such as 0 itself, is read off runs of
+        equal pair keys at weight 4 (see the class docstring).
 
         Returns:
             An int64 array of shape (count, weight).  Each row holds the
@@ -445,9 +387,8 @@ class SupportMatcher:
         """Least w in 1..cap with a zero-XOR support of weight w, else
         LowerBound(cap).  keep, when given, takes one step's supports
         (rows of entry indices) and says whether it holds one that
-        counts; the search stops at the first step where it does.  Steps
-        of weight 2 to 4 are run reads of at most _BLOCK candidates, in
-        key order, not joins (see the class docstring)."""
+        counts; the search stops at the first step where it does.  Each
+        step holds at most _BLOCK candidates (see the class docstring)."""
         zero = self.pack([0])
         for w in range(1, cap + 1):
             for _, got in self._blocks(*zero, w, 0):
@@ -493,7 +434,7 @@ class SupportMatcher:
         of weight >= 1 of every target that uses only entries from index
         `start` on.  Weight 5 and up yield the parts of each first entry
         in turn, in entry order."""
-        words, keys, after, _, index = self._tables()
+        words, keys, after, _, starts = self._tables()
         if weight >= 5:
             for a in range(start, len(keys)):
                 for got, rest in self._blocks(
@@ -501,52 +442,77 @@ class SupportMatcher:
                         weight - 1, after[a]):
                     yield got, np.column_stack([np.full(len(got), a), rest])
             return
-        if weight == 1:
-            per = max(1, _BLOCK // max(1, len(keys) - start))
+        if weight <= 3:
+            # look up each target's key (weights 1 and 2), or the XOR of
+            # each target's key with each entry's from `start` on
+            table = self._table(min(weight, 2))
+            lkeys = keys[start:] if weight == 3 else np.zeros(1, np.uint64)
+            per = max(1, _BLOCK // max(1, len(lkeys)))
             for t in range(0, len(tkeys), per):
-                got, hit = (tkeys[t:t + per, None] == keys[start:]).nonzero()
-                yield self._exact(t + got, start + hit[:, None], twords)
+                lo, hi = table.span((tkeys[t:t + per, None] ^ lkeys).ravel())
+                for q, pos in _spans(lo, hi - lo):
+                    got, a = np.divmod(q, len(lkeys))
+                    cols = self._decode(table, pos, weight)
+                    if weight == 3:
+                        # entry a, then a pair that starts past a's group
+                        ok = cols[0] >= after.take(start + a)
+                        cols = (start + a,) + cols
+                    else:
+                        ok = cols[0] >= start
+                    yield self._exact(t + got[ok], np.column_stack(
+                        [c[ok] for c in cols]), twords)
             return
         if start == 0 and len(tkeys) == 1 and tkeys[0] == 0:
-            yield from self._zero_blocks(twords, weight)
+            yield from self._zero_runs(twords)
             return
-        if weight == 4:
-            pairs = self._pair_index()
-            yield from self._join(tkeys, twords, (pairs.keys, pairs.cols),
-                                  pairs, start)
-            return
-        right = self._entry_index() if weight == 2 else self._pair_index()
-        yield from self._join(tkeys, twords, (keys, [index]), right, start)
-
-    def _join(self, tkeys, twords, left, right: _KeyIndex, start: int):
-        """Yield (targets, rows) parts: the supports made of one left item
-        that starts at entry `start` or later, followed by one right item.
-
-        The left side is (keys, index columns).  Every (target, left
-        item) query is matched with the right items whose key is the XOR
-        of the two, and a combination is kept when the right item starts
-        in a group above the left item's last one and the values XOR to
-        the target.  A step takes up to _BLOCK left items, and as many
-        targets as keep it at _BLOCK queries, one target at least.
-        """
-        after = self._tables()[2]
-        lkeys, lcols = left
-        for s in range(0, len(lkeys), _BLOCK):
-            part, cols = lkeys[s:s + _BLOCK], [c[s:s + _BLOCK] for c in lcols]
-            if start:
-                mine = cols[0] >= start
-                part, cols = part[mine], [c[mine] for c in cols]
+        # each pair whose first entry is `start` or later, which are those
+        # at pair position (their ordinal) starts[start] or more, then a
+        # pair from the probe
+        pairs = self._table(2)
+        bound = np.uint64(starts[start])
+        for s in range(0, len(pairs.words), _BLOCK):
+            part = pairs.words[s:s + _BLOCK]
+            ids = np.arange(s, s + len(part))
+            if bound:
+                ids = ids[(part & pairs.low) >= bound]
+                part = pairs.words[ids]
             if not len(part):
                 continue
             per = max(1, _BLOCK // len(part))
             for t in range(0, len(tkeys), per):
-                qi, ri = right.probe((tkeys[t:t + per, None] ^ part).ravel())
-                got, li = np.divmod(qi, len(part))
-                keep = right.cols[0][ri] >= after.take(cols[-1][li])
-                got, li, ri = got[keep], li[keep], ri[keep]
-                rows = np.column_stack([c[li] for c in cols]
-                                       + [c[ri] for c in right.cols])
-                yield self._exact(t + got, rows, twords)
+                qi, pos = pairs.probe((tkeys[t:t + per, None] ^ part).ravel())
+                # a query may match many pairs: cut them into steps
+                for c in range(0, len(qi), _BLOCK):
+                    got, li = np.divmod(qi[c:c + _BLOCK], len(part))
+                    a, b = self._decode(pairs, ids[li], 2)
+                    first, second = self._decode(pairs, pos[c:c + _BLOCK], 2)
+                    ok = first >= after.take(b)
+                    yield self._exact(t + got[ok], np.column_stack(
+                        [a[ok], b[ok], first[ok], second[ok]]), twords)
+
+    def _zero_runs(self, twords):
+        """_blocks for one target whose key is 0, at weight 4 from entry 0
+        on: the candidates are the pairs of pairs whose keys are equal,
+        read off runs of the sorted pair table with no probe."""
+        after = self._tables()[2]
+        pairs = self._table(2)
+        kept, later = pairs.runs()
+        first, second = self._decode(pairs, kept, 2)
+        # a run lists its pairs by position, so by first entry: each
+        # candidate is a pair followed by a later one of its run
+        for left, right in _spans(np.arange(1, len(kept) + 1), later):
+            ok = first[right] >= after.take(second[left])
+            left, right = left[ok], right[ok]
+            yield self._exact(np.zeros(len(left), dtype=np.intp),
+                              np.column_stack([first[left], second[left],
+                                               first[right], second[right]]),
+                              twords)
+
+    def _decode(self, table: _Sorted, pos: np.ndarray, weight: int):
+        """The entry index columns of the items of an entry (weight 1) or
+        pair table at the given positions."""
+        ordinals = table.ordinals(pos)
+        return (ordinals,) if weight == 1 else self._pairs_of(ordinals)
 
     def _exact(self, got: np.ndarray, rows: np.ndarray, twords):
         """The (targets, rows) pairs whose row's entry values XOR to the

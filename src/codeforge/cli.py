@@ -125,7 +125,7 @@ def cmd_build(args, manifest: RunManifest) -> int:
     tagged.validate()
     params = {"n": tagged.n, "k": tagged.logical_count()}
     if args.max_weight:
-        d = tagged.distance(args.max_weight)
+        d = tagged.distance(args.max_weight, params["k"])
         params["d"] = css._jsonable(d)
     css.export_bundle(code, args.out,
                       extra={"family": args.family, "base": base_desc,

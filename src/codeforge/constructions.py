@@ -129,8 +129,8 @@ class BlockTaggedCss:
     def logical_count(self) -> int:
         return css.logical_count(self.css)
 
-    def distance(self, max_weight: int):
-        return code_distance(self.css, max_weight)
+    def distance(self, max_weight: int, k: int | None = None):
+        return code_distance(self.css, max_weight, k)
 
     def params(self, max_weight: int):
         """(n, k, d-or-flag) of the CssCode view."""
@@ -548,16 +548,17 @@ def xzzx3d(n: int) -> BlockTaggedCss:
     return c
 
 
-def code_distance(c: CssCode, max_weight: int):
+def code_distance(c: CssCode, max_weight: int, k: int | None = None):
     """Minimum logical Pauli weight of the whole code, up to max_weight.
 
     Unpaired codes take the cheaper per-sector kernel/coset search over
-    both sectors in one css.distance call; paired codes run the
+    both sectors in one css.distance call, which is given k, the code's
+    logical count, when the caller already has it; paired codes run the
     symplectic search over all Pauli patterns.
     """
     if c.paired:
         return pauli_distance(c.stab_x, c.stab_z, max_weight)
-    return css.distance(c, "XZ", max_weight)
+    return css.distance(c, "XZ", max_weight, k)
 
 
 def pauli_distance(stab_x, stab_z, max_weight: int):

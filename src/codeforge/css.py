@@ -164,7 +164,7 @@ def logical_count(c: CssCode) -> int:
     return c.n - f2.rank(np.concatenate([c.stab_x, c.stab_z], axis=1))
 
 
-def distance(c: CssCode, kind: str, max_weight: int):
+def distance(c: CssCode, kind: str, max_weight: int, k: int | None = None):
     """Minimum weight of a kernel element outside the opposite row space.
 
     Args:
@@ -174,6 +174,7 @@ def distance(c: CssCode, kind: str, max_weight: int):
         max_weight: Search cap; SupportMatcher.least_weight walks the
             kernel supports by increasing weight and stops at the first
             search block with a vector outside the stabilizer coset.
+        k: The code's logical_count, when the caller already has it.
 
     Returns:
         The least exact distance found within the cap over the scanned
@@ -181,11 +182,11 @@ def distance(c: CssCode, kind: str, max_weight: int):
     """
     if kind not in ("X", "Z", "XZ"):
         raise ValueError("kind must be 'X', 'Z' or 'XZ'")
-    if logical_count(c) < 1:
+    if (logical_count(c) if k is None else k) < 1:
         raise NoLogicalsError("code has no logical qubits")
 
-    def sector(k):
-        ker_of, excl_of = (c.hx, c.hz) if k == "X" else (c.hz, c.hx)
+    def sector(side):
+        ker_of, excl_of = (c.hx, c.hz) if side == "X" else (c.hz, c.hx)
         excl = f2.RowSpaceTester(excl_of)
 
         def logical(supp):

@@ -8,14 +8,14 @@ single-shot experiments.
 
 All three searches run on classical.SupportMatcher: minimum-weight sets
 of columns (or of single-qubit Paulis) whose XOR hits a target.  It
-keys every value by a random GF(2)-linear 64-bit map, answers weight 1
-by comparing keys, and weights 2 to 4 by batched joins that meet in the
-middle on key-indexed tables of entries and of entry pairs.  Among the
-supports of least weight it returns the lexicographically first one in
-sorted-entry order, so a decoder's output is fixed by its entries and
-its target alone.  The decoder asks for one target at a time; the scan
-lists the achievable syndromes of one weight with the same joins and
-answers all of them in one batch.
+keys every value by a random GF(2)-linear 64-bit map and meets in the
+middle on one key-sorted table of entry pairs: weights 1 to 3 look keys
+up in the sorted entries and pairs, and weight 4 joins the pair table
+with itself.  Among the supports of least weight it returns the
+lexicographically first one in sorted-entry order, so a decoder's
+output is fixed by its entries and its target alone.  The decoder asks
+for one target at a time; the scan lists the achievable syndromes of
+one weight from the same tables and answers all of them in one batch.
 
 Bounds are compared in exact rational arithmetic; no floats.
 """
@@ -205,12 +205,12 @@ def soundness_scan(syndrome_map, t: int, f=quarter_square,
     ach @ s = 0 for the annihilator ach of the image, so the achievable
     syndromes of weight w are the zero-XOR supports of weight w of the
     columns of ach.  One SupportMatcher lists them in lexicographic
-    order, read off runs of equal keys in sorted tables (the target is
-    0) rather than a walk over all C(m, w) supports, so the full weight
-    shell is cheap.  Their search keys and words are XORs of those of
-    the unit vectors, and one find_min_batch call over the columns of d
-    answers every syndrome of one weight; the report is then read off
-    its result arrays.
+    order from its sorted key tables (binary-search lookups up to weight
+    3, runs of equal pair keys at weight 4) rather than a walk over all
+    C(m, w) supports, so the full weight shell is cheap.  Their search
+    keys and words are XORs of those of the unit vectors, and one
+    find_min_batch call over the columns of d answers every syndrome of
+    one weight; the report is then read off its result arrays.
 
     Args:
         syndrome_map: The map d; errors live on its columns.

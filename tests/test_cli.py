@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from codeforge import __version__, cli
+from codeforge import __version__, cli, css
 from codeforge.cli import FAMILIES, main
 
 
@@ -50,6 +50,26 @@ def test_build_reports_params_with_distance(tmp_path, capsys):
                           "--max-weight", "2")
     assert code == 0
     assert "n=8 k=2 d=2" in stdout
+
+
+def test_build_counts_logicals_once(tmp_path, capsys, monkeypatch):
+    counted = []
+    count = css.logical_count
+    monkeypatch.setattr(css, "logical_count",
+                        lambda c: counted.append(c) or count(c))
+    code, stdout, _ = run(capsys, "build", "--family", "sehgp", "--base",
+                          "rep:3", "--max-weight", "4", "--out",
+                          str(tmp_path / "b"))
+    assert code == 0 and stdout.startswith("built sehgp from rep:3: ")
+    assert len(counted) == 1
+    # hgp of the 2x2 identity has k = 0, so its distance is undefined
+    eye = tmp_path / "eye.alist"
+    eye.write_text("2 2\n1 1\n1 1\n1 1\n1\n2\n1\n2\n")
+    code, out, err = run(capsys, "build", "--family", "hgp", "--base",
+                         f"alist:{eye}", "--max-weight", "2", "--out",
+                         str(tmp_path / "e"))
+    assert code == 1 and out == ""
+    assert err == "error: code has no logical qubits\n"
 
 
 def test_build_bsh_rep4_syndrome_distance(tmp_path, capsys):

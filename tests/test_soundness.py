@@ -1,9 +1,11 @@
 """Soundness scans, reduced weights, and the two-stage single-shot decoder."""
 import functools
+import gc
 import itertools
 import math
 import operator
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -430,6 +432,79 @@ def test_zero_entry_sends_weight_5_to_a_zero_target_after_it(block,
             want = [s for s in want if s[0] >= 4]
             assert matcher.find(target, weight, 3) == (
                 None if not want else [entries[i][:2] for i in want[0]])
+
+
+def pair_table_cases():
+    """Entry lists for the pair table: 0, 1 and 2 entries, one group
+    only, Pauli triples, and long rows of pairs, which blocks of 3 cut
+    mid-row."""
+    rng = random.Random(11)
+    triples = [(q, p, v) for q in range(5)
+               for x, z in [(rng.getrandbits(20), rng.getrandbits(20))]
+               for p, v in (("X", x), ("Z", z), ("Y", x ^ z))]
+    return [[], [(0, 0, 5)], [(0, 0, 5), (1, 0, 5)], [(0, 0, 5), (0, 1, 6)],
+            [(0, t, rng.getrandbits(8)) for t in range(6)], triples,
+            [(g, 0, rng.getrandbits(70)) for g in range(12)],
+            [(rng.randrange(5), t, rng.getrandbits(8)) for t in range(15)]]
+
+
+@pytest.mark.parametrize("block", [classical._BLOCK, 3])
+@pytest.mark.parametrize("case", range(len(pair_table_cases())))
+def test_blocked_pair_table_matches_one_shot(block, case, monkeypatch,
+                                             one_shot_pair_table):
+    entries = pair_table_cases()[case]
+    monkeypatch.setattr(classical, "_BLOCK", block)
+    matcher = SupportMatcher(entries)
+    words, bits, first, second = one_shot_pair_table(matcher)
+    table = matcher._table(2)
+    assert table.words.dtype == np.uint64 and int(table.bits) == bits
+    assert table.words.tolist() == words.tolist()
+    got = matcher._pairs_of(np.arange(len(words)))
+    assert got[0].tolist() == first.tolist()
+    assert got[1].tolist() == second.tolist()
+    # and the decoding of the sorted words' own ordinals
+    got = matcher._pairs_of(table.ordinals(np.arange(len(words))))
+    want = (words & np.uint64((1 << bits) - 1)).astype(np.intp)
+    assert got[0].tolist() == first[want].tolist()
+    assert got[1].tolist() == second[want].tolist()
+
+
+def test_steps_hold_at_most_block_candidates(monkeypatch):
+    """Five pairs of later groups XOR to 1, the value of entry 0, so a
+    span read of key 1, the weight-3 lookup of entry 0 and the weight-4
+    probe of a target that extends pair (1, 2) each match five pairs;
+    blocks of 3 cut them into steps."""
+    monkeypatch.setattr(classical, "_BLOCK", 3)
+    entries = [(0, 0, 1), (0, 1, 1 << 20), (1, 0, 1 << 21)] + [
+        (g, 0, v) for i in range(1, 6)
+        for g, v in ((2 * i, 2 << i), (2 * i + 1, 2 << i ^ 1))]
+    matcher = SupportMatcher(entries)
+    for weight, target in ((2, 1), (3, 0), (4, 0), (4, 3 << 20 ^ 1)):
+        rows = [r for _, r in matcher._blocks(*matcher.pack([target]),
+                                              weight, 0)]
+        assert all(len(r) <= 3 for r in rows)
+        got = sorted(tuple(r) for part in rows for r in part.tolist())
+        want = brute_supports(entries, weight, target)
+        assert got == want and len(want) >= 5
+
+
+def test_matcher_is_freed_without_the_cycle_collector():
+    """Nothing a matcher builds refers back to it, so dropping its last
+    reference frees its tables at once, not at a gen-2 collection."""
+    rng = random.Random(2)
+    entries = [(q, p, rng.getrandbits(12)) for q in range(20)
+               for p in "XZY"]
+    gc.disable()
+    try:
+        matcher = SupportMatcher(entries)
+        # a miss walks every weight up to 4, so the probe index is built
+        assert matcher.find_min(1 << 40, 4) == (None, None)
+        assert matcher._table(2)._offsets is not None
+        alive = weakref.ref(matcher), weakref.ref(matcher._table(2))
+        del matcher
+        assert [ref() for ref in alive] == [None, None]
+    finally:
+        gc.enable()
 
 
 def brute_reduced_weight(model, e):
