@@ -1,10 +1,10 @@
-"""Classical linear codes over GF(2): parameters, the repetition codes,
-and SupportMatcher, the one support-search engine that distance
-searches, soundness scans and the single-shot decoder share.
+"""Classical linear codes over GF(2): the check-matrix code type, the
+repetition codes, and SupportMatcher, the one support-search engine
+that distance searches, soundness scans and the single-shot decoder
+share.
 
-A code is the kernel of its parity-check matrix h; parameters are
-[n, k, d] with n = cols(h), k = n - rank(h), d the minimum weight of a
-nonzero kernel element.
+A code is the kernel of its parity-check matrix h: n = cols(h) and
+k = n - rank(h); its distance up to a cap is one least_weight search.
 """
 from __future__ import annotations
 
@@ -14,16 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import f2
-
-
-class _Undefined:
-    """Tagged sentinel for the distance of a k = 0 code."""
-
-    def __repr__(self):
-        return "undefined"
-
-
-UNDEFINED = _Undefined()
 
 
 @dataclass(frozen=True)
@@ -40,8 +30,6 @@ _KEY_SEED = 0x2545F4914F6CDD1D
 # queries per join step and candidates per run read; bounds their
 # temporaries
 _BLOCK = 1 << 16
-# largest kernel dimension whose 2^k codewords min_kernel_weight lists
-_ENUM_LIMIT = 20
 
 
 def _key_tables(nbytes: int) -> np.ndarray:
@@ -169,7 +157,7 @@ class SupportMatcher:
     column searches use group = column index; Pauli searches put the X, Z
     and Y columns of one qubit in the same group.
 
-    Three questions share one set of tables.  find, find_min and
+    Three questions share one set of tables.  find_min and
     find_min_batch answer with one support, the lexicographically first
     tuple of entry indices in sorted-entry order; find_min_batch answers
     a whole batch of targets at once, and find_min is its one-target
@@ -208,12 +196,12 @@ class SupportMatcher:
       so temporaries are bounded by the block, not by the tables or the
       batch.  The weight-4 join's time grows with T times the ~n^2/2
       pairs, hit or miss; the weight-4 run read's with the pairs of
-      equal key.  find keeps the least support of each target in each
-      step, and supports sorts the rows of all steps once, so neither
-      depends on the order of the steps.
+      equal key.  find_min keeps the least support of each target in
+      each step, and supports sorts the rows of all steps once, so
+      neither depends on the order of the steps.
     - Weight 5 and up recurse on the first entry, one weight-4 join per
-      entry, in increasing entry order; find stops for each target at
-      the first entry with a completion.
+      entry, in increasing entry order; find_min stops for each target
+      at the first entry with a completion.
     - least_weight walks the same steps weight by weight and stops at
       the first step holding an accepted support, so its memory is
       bounded by one step, not by the weight shell.
@@ -221,11 +209,10 @@ class SupportMatcher:
 
     def __init__(self, entries: list[tuple[int, object, int]]):
         self.entries = sorted(entries)
-        self._groups = [g for g, _, _ in self.entries]
+        groups = [g for g, _, _ in self.entries]
         self._values = [v for _, _, v in self.entries]
         # _after[i]: index of the first entry in a group above entry i's
-        self._after = [bisect.bisect_right(self._groups, g)
-                       for g in self._groups]
+        self._after = [bisect.bisect_right(groups, g) for g in groups]
         self._arrays = None
         self._singles = None
         self._pairs = None
@@ -309,17 +296,6 @@ class SupportMatcher:
             self._pairs = _Sorted(int(self._tables()[4][-1]),
                                   self._pair_blocks())
         return self._pairs
-
-    def find(self, target: int, weight: int, min_group: int = -1):
-        """One support of exactly the given weight, as (group, tag) pairs
-        with groups above min_group, or None."""
-        if target >> (64 * len(self._tables()[0])):
-            return None
-        start = bisect.bisect_right(self._groups, min_group)
-        _, got = self._first(*self.pack([target]), weight, start)
-        if not len(got):
-            return None
-        return [self.entries[i][:2] for i in got[0].tolist()]
 
     def find_min(self, target: int, cap: int):
         """(weight, support) of a minimum-weight match, or (None, None)."""
@@ -570,8 +546,8 @@ def kernel_supports_of_weight(m, w: int):
     The supports are those of weight w whose packed columns XOR to zero,
     listed by one SupportMatcher (group = column) in lexicographic order.
     The whole weight shell is built before the first one is yielded.
-    Distance searches do not use it; they call least_weight, which stops
-    at the first block holding a hit.
+    Nothing in the package calls it (distances call least_weight); it
+    stays only while the perfbench harness traces it by name.
 
     Args:
         m: Check matrix.
@@ -579,38 +555,6 @@ def kernel_supports_of_weight(m, w: int):
     """
     for supp in SupportMatcher.for_columns(m).supports(w).tolist():
         yield tuple(supp)
-
-
-def min_kernel_weight(m, max_weight: int | None = None):
-    """Minimum weight of a nonzero kernel element of m.
-
-    Strategy: when the kernel dimension is at most _ENUM_LIMIT, enumerate
-    all 2^k - 1 codewords from the RREF basis (gray-code order, one XOR
-    per step); otherwise search supports by increasing weight up to
-    max_weight (SupportMatcher.least_weight) and report a lower bound if
-    nothing is found.
-
-    Returns:
-        The exact distance, a LowerBound, or UNDEFINED when the kernel is
-        trivial.
-    """
-    m = f2.as_f2(m)
-    basis = f2.kernel_basis(m)
-    k = basis.shape[0]
-    if k == 0:
-        return UNDEFINED
-    if k <= _ENUM_LIMIT:
-        best = None
-        cur = np.zeros(m.shape[1], dtype=np.uint8)
-        for idx in range(1, 2 ** k):
-            # gray code: flip the basis row at the lowest set bit of idx
-            cur = cur ^ basis[(idx & -idx).bit_length() - 1]
-            wt = f2.weight(cur)
-            if best is None or wt < best:
-                best = wt
-        return int(best)
-    cap = max_weight if max_weight is not None else m.shape[1]
-    return SupportMatcher.for_columns(m).least_weight(cap)
 
 
 class ClassicalCode:
@@ -639,23 +583,6 @@ class ClassicalCode:
     def __repr__(self):
         label = f" {self.name}" if self.name else ""
         return f"<ClassicalCode{label} n={self.n} k={self.k}>"
-
-
-def params(c: ClassicalCode, max_weight: int | None = None):
-    """Exact (n, k, d-or-flag) for a classical code.
-
-    Args:
-        c: The code.
-        max_weight: Weight cap for the support search fallback; ignored when
-            full codeword enumeration is feasible.
-
-    Returns:
-        (n, k, d) with d an int when exact, LowerBound when capped, or
-        UNDEFINED for k = 0.
-    """
-    if max_weight is not None and max_weight < 1:
-        raise ValueError("max_weight must be >= 1")
-    return c.n, c.k, min_kernel_weight(c.h, max_weight)
 
 
 def repetition_closed_loop(n: int) -> ClassicalCode:

@@ -111,10 +111,6 @@ def build_family(family: str, base: classical.ClassicalCode):
     raise ValueError(f"unknown family {family!r}")
 
 
-def _load_code(path: str) -> css.CssCode:
-    return css.load_bundle(path)
-
-
 def cmd_build(args, manifest: RunManifest) -> int:
     base, base_desc, inputs = _parse_base(args.base)
     manifest.inputs.update(inputs)
@@ -139,20 +135,20 @@ def cmd_build(args, manifest: RunManifest) -> int:
 
 def cmd_params(args, manifest: RunManifest) -> int:
     if args.code:
-        code = _load_code(args.code)
+        code = css.load_bundle(args.code)
     elif args.family and args.base:
         base, _, _ = _parse_base(args.base)
         code = build_family(args.family, base).css
     else:
         raise ValueError("params needs --code, or both --family and --base")
     k = css.logical_count(code)
-    d = cons.code_distance(code, args.max_weight)
+    d = cons.code_distance(code, args.max_weight, k)
     print(f"n={code.n} k={k} d={d}")
     return 0
 
 
 def cmd_verify(args, manifest: RunManifest) -> int:
-    code = _load_code(args.code)
+    code = css.load_bundle(args.code)
     css.validate_css(code)
     with open(os.path.join(args.code, "manifest.json")) as fh:
         recorded = json.load(fh)
@@ -172,7 +168,7 @@ def cmd_verify(args, manifest: RunManifest) -> int:
 
 
 def cmd_soundness(args, manifest: RunManifest) -> int:
-    code = _load_code(args.code)
+    code = css.load_bundle(args.code)
     model = soundness.StabilizerModel.from_code(code)
     f = soundness.F_BY_NAME[args.f]
     report = soundness.soundness_scan(model.syndrome_map, args.t, f)
@@ -198,7 +194,7 @@ def cmd_soundness(args, manifest: RunManifest) -> int:
 
 
 def cmd_simulate(args, manifest: RunManifest) -> int:
-    code = _load_code(args.code)
+    code = css.load_bundle(args.code)
     if args.bias:
         label, _, val = args.bias.partition(":")
         if label != "etaZ":
@@ -217,7 +213,7 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
 
 
 def cmd_export(args, manifest: RunManifest) -> int:
-    code = _load_code(args.code)
+    code = css.load_bundle(args.code)
     with open(os.path.join(args.code, "manifest.json")) as fh:
         recorded = json.load(fh)
     extra = {k: v for k, v in recorded.items()

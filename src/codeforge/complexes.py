@@ -1,4 +1,4 @@
-"""Chain complexes over GF(2): validation, graded tensor products, Betti numbers.
+"""Chain complexes over GF(2): validation and graded tensor products.
 
 A complex of length L is the sequence C_L -> ... -> C_1 -> C_0 with boundary
 maps d_i: C_i -> C_{i-1} satisfying d_i d_{i+1} = 0.  Boundaries are stored
@@ -74,51 +74,25 @@ class ChainComplex:
                 raise ComplexValidationError(
                     f"d{k} d{k + 1} != 0: composite is nonzero at degree {k}")
 
-    def betti(self, k: int) -> int:
-        """dim ker d_k - rank d_{k+1}, with maps off the ends read as zero."""
-        self._check_degree(k)
-        ker_dim = self.dim(k) - (f2.rank(self.boundary(k)) if k >= 1 else 0)
-        im_dim = f2.rank(self.boundary(k + 1)) if k + 1 <= self.length else 0
-        return ker_dim - im_dim
 
-    def transposed(self) -> "ChainComplex":
-        """The cochain direction: reverse and transpose every boundary."""
-        return ChainComplex([b.T.copy() for b in reversed(self.boundaries)])
+def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
+    """Graded tensor product in the printed block order.
 
-
-def _natural_components(x: ChainComplex, y: ChainComplex, k: int):
-    """Degree-k factor pairs (i, j), i + j = k, in increasing i order."""
-    return [(i, k - i) for i in range(k + 1)
-            if i <= x.length and 0 <= k - i <= y.length]
-
-
-def tensor_generic(x: ChainComplex, y: ChainComplex,
-                   orders: dict[int, list[tuple[int, int]]] | None = None
-                   ) -> ChainComplex:
-    """Graded tensor product with explicit block bookkeeping.
-
-    Degree-k cells are the direct sum of X_i (x) Y_j over i + j = k.  The
-    boundary acts factor-wise: the block from (i, j) to (i - 1, j) is
-    d_i[X] (x) 1, and to (i, j - 1) it is 1 (x) d_j[Y].  Over GF(2) there is
-    no sign bookkeeping and the result always chains.
-
-    Args:
-        x: Left factor (validated).
-        y: Right factor (validated).
-        orders: Optional per-degree override of the component order; default
-            is increasing first-factor degree, which puts X_0 (x) Y_1 above
-            X_1 (x) Y_0 in degree 1.
-
-    Returns:
-        The product complex, with .components filled in.
+    Degree-k cells are the direct sum of X_i (x) Y_j over i + j = k, by
+    increasing i, but degree 3 of two length-2 factors by decreasing i:
+    the four-band stabilizer layouts index blocks against that order.
+    The block from (i, j) to (i - 1, j) is d_i[X] (x) 1, and to
+    (i, j - 1) it is 1 (x) d_j[Y]; over GF(2) the result always chains.
     """
     x.validate()
     y.validate()
-    orders = orders or {}
     total = x.length + y.length
     comp: dict[int, list[tuple[int, int, int]]] = {}
     for k in range(total + 1):
-        pairs = orders.get(k, _natural_components(x, y, k))
+        pairs = [(i, k - i) for i in range(k + 1)
+                 if i <= x.length and k - i <= y.length]
+        if k == 3 and x.length == y.length == 2:
+            pairs.reverse()
         comp[k] = [(i, j, x.dim(i) * y.dim(j)) for i, j in pairs]
     boundaries = []
     for k in range(total, 0, -1):
@@ -144,22 +118,3 @@ def tensor_generic(x: ChainComplex, y: ChainComplex,
     out = ChainComplex(boundaries, dims)
     out.components = comp
     return out
-
-
-# The length-2 x length-2 product is printed with the degree-3 summand in
-# decreasing first-factor order (X2 (x) Y1 above X1 (x) Y2); every other
-# degree uses increasing order.  The four-band stabilizer layouts downstream
-# index blocks against exactly this order.
-L2L2_DEGREE3_ORDER = [(2, 1), (1, 2)]
-
-
-def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
-    """Graded tensor product in the canonical printed block order.
-
-    For two length-2 factors the degree-3 component order is overridden to
-    match the printed four-band boundary displays; all other shapes use the
-    increasing-first-degree order of tensor_generic.
-    """
-    if x.length == 2 and y.length == 2:
-        return tensor_generic(x, y, orders={3: L2L2_DEGREE3_ORDER})
-    return tensor_generic(x, y)

@@ -134,26 +134,13 @@ class BlockTaggedCss:
 
     def params(self, max_weight: int):
         """(n, k, d-or-flag) of the CssCode view."""
-        return self.n, self.logical_count(), self.distance(max_weight)
+        k = self.logical_count()
+        return self.n, k, self.distance(max_weight, k)
 
     def copy(self) -> "BlockTaggedCss":
         return BlockTaggedCss(self.family, [b.copy() for b in self.bands],
                               self.col_sizes, hsx=self.hsx, hsz=self.hsz,
                               metadata=dict(self.metadata))
-
-    def equals(self, other: "BlockTaggedCss") -> bool:
-        """Bit-exact equality of all band matrices and syndrome checks."""
-        if len(self.bands) != len(other.bands) or self.col_sizes != other.col_sizes:
-            return False
-        for a, b in zip(self.bands, other.bands):
-            if a.x.shape != b.x.shape or (a.x != b.x).any() or (a.z != b.z).any():
-                return False
-        for m, o in ((self.hsx, other.hsx), (self.hsz, other.hsz)):
-            if (m is None) != (o is None):
-                return False
-            if m is not None and (m.shape != o.shape or (m != o).any()):
-                return False
-        return True
 
     def __repr__(self):
         return (f"<BlockTaggedCss {self.family} n={self.n} "
@@ -551,11 +538,14 @@ def xzzx3d(n: int) -> BlockTaggedCss:
 def code_distance(c: CssCode, max_weight: int, k: int | None = None):
     """Minimum logical Pauli weight of the whole code, up to max_weight.
 
-    Unpaired codes take the cheaper per-sector kernel/coset search over
-    both sectors in one css.distance call, which is given k, the code's
-    logical count, when the caller already has it; paired codes run the
-    symplectic search over all Pauli patterns.
+    k, the code's logical count, is passed when the caller has it; k = 0
+    raises NoLogicalsError.  Unpaired codes take the cheaper per-sector
+    kernel/coset search over both sectors in one css.distance call;
+    paired codes run the symplectic search over all Pauli patterns.
     """
+    k = css.logical_count(c) if k is None else k
+    if k < 1:
+        raise css.NoLogicalsError("code has no logical qubits")
     if c.paired:
         return pauli_distance(c.stab_x, c.stab_z, max_weight)
     return css.distance(c, "XZ", max_weight, k)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, f2, matio
-from .classical import UNDEFINED, LowerBound
+from .classical import LowerBound
 
 
 class CssValidationError(ValueError):
@@ -253,8 +253,6 @@ def _jsonable(obj):
         return bool(obj)
     if isinstance(obj, LowerBound):
         return {"lower_bound": obj.value}
-    if obj is UNDEFINED:
-        return "undefined"
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     return obj

@@ -87,10 +87,8 @@ def sample_error(model: NoiseModel, n: int, rng) -> PauliError:
     Args:
         model: Channel rates.
         n: Qubit count.
-        rng: np.random.Generator, or an int seed.
+        rng: np.random.Generator.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     u = rng.random(n)
     ex = (u < model.px + model.py).astype(np.uint8)
     ez = ((u >= model.px) & (u < model.p)).astype(np.uint8)

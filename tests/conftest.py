@@ -1,4 +1,5 @@
 """Test-only helpers shared by several test modules, as fixtures."""
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,76 @@ def _one_shot_pair_table(matcher):
     return words, bits, first, second
 
 
+def _brute_distance(h):
+    """Minimum nonzero codeword weight by enumerating all 2^k codewords
+    of the kernel basis span, or None when the kernel is trivial."""
+    basis = f2.kernel_basis(h)
+    k = basis.shape[0]
+    if k == 0:
+        return None
+    best = None
+    for bits in itertools.product((0, 1), repeat=k):
+        if not any(bits):
+            continue
+        v = np.zeros(h.shape[1], dtype=np.uint8)
+        for i, b in enumerate(bits):
+            if b:
+                v ^= basis[i]
+        w = int(v.sum())
+        best = w if best is None or w < best else best
+    return best
+
+
+def _brute_betti(c, k):
+    """dim ker d_k - rank d_{k+1} of a ChainComplex, maps off the ends
+    read as zero, by rank-nullity with an integer-bitmask rank,
+    independent of f2."""
+    def bitrank(m):
+        basis = {}
+        for r in m:
+            v = int("".join(map(str, r)), 2) if r.size else 0
+            while v:
+                top = v.bit_length()
+                if top not in basis:
+                    basis[top] = v
+                    break
+                v ^= basis[top]
+        return len(basis)
+
+    ker = c.dim(k) - (bitrank(c.boundary(k)) if k >= 1 else 0)
+    img = bitrank(c.boundary(k + 1)) if k + 1 <= c.length else 0
+    return ker - img
+
+
+def _tagged_equals(a, b):
+    """Bit-exact equality of two BlockTaggedCss codes: all band matrices
+    and syndrome checks (the BlockTaggedCss.equals method that was
+    deleted, kept as a test helper)."""
+    if len(a.bands) != len(b.bands) or a.col_sizes != b.col_sizes:
+        return False
+    for p, q in zip(a.bands, b.bands):
+        if p.x.shape != q.x.shape or (p.x != q.x).any() or (p.z != q.z).any():
+            return False
+    for m, o in ((a.hsx, b.hsx), (a.hsz, b.hsz)):
+        if (m is None) != (o is None):
+            return False
+        if m is not None and (m.shape != o.shape or (m != o).any()):
+            return False
+    return True
+
+
+def _first_support(matcher, target, weight, start=0):
+    """The lexicographically first support of exactly the given weight
+    that uses only entries from index start on, as (group, tag) pairs,
+    or None: SupportMatcher._first for one target."""
+    if target >> (64 * len(matcher._tables()[0])):
+        return None
+    _, got = matcher._first(*matcher.pack([target]), weight, start)
+    if not len(got):
+        return None
+    return [matcher.entries[i][:2] for i in got[0].tolist()]
+
+
 @pytest.fixture
 def tanner_components():
     return _tanner_components
@@ -144,3 +215,23 @@ def loop_row_echelon():
 @pytest.fixture(scope="session")
 def one_shot_pair_table():
     return _one_shot_pair_table
+
+
+@pytest.fixture(scope="session")
+def brute_distance():
+    return _brute_distance
+
+
+@pytest.fixture(scope="session")
+def brute_betti():
+    return _brute_betti
+
+
+@pytest.fixture(scope="session")
+def tagged_equals():
+    return _tagged_equals
+
+
+@pytest.fixture(scope="session")
+def first_support():
+    return _first_support

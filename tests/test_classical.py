@@ -1,8 +1,10 @@
 """Classical codes: parameters, and the parameters of direct products.
 
-The direct-product parameter law is checked exhaustively over a small
-code zoo, with n and k from independent rank arithmetic and d from full
-codeword enumeration.
+A code's d comes from the package's one distance search,
+SupportMatcher.for_columns(h).least_weight, the path of the bsh/bssh
+syndrome distance d_s.  The direct-product parameter law is checked
+exhaustively over a small code zoo, with n and k from independent rank
+arithmetic and d from full codeword enumeration (brute_distance).
 """
 import itertools
 
@@ -12,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codeforge import classical, f2
-from codeforge.classical import (UNDEFINED, ClassicalCode, LowerBound,
-                                 params)
+from codeforge.classical import ClassicalCode, LowerBound, SupportMatcher
 
 
 def hamming_7_4():
@@ -32,24 +33,10 @@ def direct_product(c1, c2):
          [f2.kron(f2.identity(c1.n), c2.h)]]))
 
 
-def brute_distance(h):
-    """Minimum nonzero codeword weight by 2^n enumeration (n <= 21
-    restricted to the kernel basis span)."""
-    basis = f2.kernel_basis(h)
-    k = basis.shape[0]
-    if k == 0:
-        return None
-    best = None
-    for bits in itertools.product((0, 1), repeat=k):
-        if not any(bits):
-            continue
-        v = np.zeros(h.shape[1], dtype=np.uint8)
-        for i, b in enumerate(bits):
-            if b:
-                v ^= basis[i]
-        w = int(v.sum())
-        best = w if best is None or w < best else best
-    return best
+def params(c):
+    """(n, k, d) with d = least_weight(n): exact when the kernel is
+    nontrivial, LowerBound(n) when it is trivial."""
+    return c.n, c.k, SupportMatcher.for_columns(c.h).least_weight(c.n)
 
 
 def zoo():
@@ -72,19 +59,13 @@ def test_params_hamming():
 def test_params_trivial_code():
     n, k, d = params(ClassicalCode(f2.identity(3)))
     assert (n, k) == (3, 0)
-    assert d is UNDEFINED
-
-
-def test_params_rejects_bad_cap():
-    with pytest.raises(ValueError):
-        params(hamming_7_4(), max_weight=0)
+    assert d == LowerBound(3)
 
 
 def test_lower_bound_flag():
-    # k = 29 is above the enumeration limit, so the support search runs
     h = np.zeros((1, 30), dtype=np.uint8)
     h[0, :2] = 1
-    got = classical.min_kernel_weight(h, max_weight=0)
+    got = SupportMatcher.for_columns(h).least_weight(0)
     assert isinstance(got, LowerBound)
     assert repr(got) == "> 0"
 
@@ -104,7 +85,7 @@ def test_repetition_all_ones_kernel():
         assert not f2.mat_vec(h, np.ones(n, dtype=np.uint8)).any()
 
 
-def test_direct_product_rep2_rep2():
+def test_direct_product_rep2_rep2(brute_distance):
     c = direct_product(classical.repetition_closed_loop(2),
                        classical.repetition_closed_loop(2))
     assert params(c) == (4, 1, 4)
@@ -123,7 +104,7 @@ def test_direct_product_rep_hamming_fixture():
     assert params(c) == (21, 4, 9)
 
 
-def test_direct_product_parameter_law_over_zoo():
+def test_direct_product_parameter_law_over_zoo(brute_distance):
     for c1 in zoo():
         for c2 in zoo():
             prod = direct_product(c1, c2)
@@ -172,16 +153,13 @@ def test_kernel_supports_of_weight_completeness():
 
 @given(st.integers(0, 2 ** 30))
 @settings(max_examples=40, deadline=None)
-def test_min_kernel_weight_matches_brute(seed):
+def test_least_weight_matches_brute(brute_distance, seed):
     rng = np.random.default_rng(seed)
     m = rng.integers(0, 2, (rng.integers(1, 5), rng.integers(2, 10)),
                      dtype=np.uint8)
-    got = classical.min_kernel_weight(m)
+    got = SupportMatcher.for_columns(m).least_weight(m.shape[1])
     want = brute_distance(m)
-    if want is None:
-        assert got is UNDEFINED
-    else:
-        assert got == want
+    assert got == (LowerBound(m.shape[1]) if want is None else want)
 
 
 def search_keys(values):

@@ -62,14 +62,22 @@ def test_build_counts_logicals_once(tmp_path, capsys, monkeypatch):
                           str(tmp_path / "b"))
     assert code == 0 and stdout.startswith("built sehgp from rep:3: ")
     assert len(counted) == 1
-    # hgp of the 2x2 identity has k = 0, so its distance is undefined
+    counted.clear()
+    code, stdout, _ = run(capsys, "params", "--family", "sehgp", "--base",
+                          "rep:2", "--max-weight", "4")
+    assert code == 0 and stdout == "n=96 k=6 d=4\n"
+    assert len(counted) == 1
+    # the unpaired hgp and the paired bsh of the 2x2 identity have k = 0,
+    # so their distance is undefined
     eye = tmp_path / "eye.alist"
     eye.write_text("2 2\n1 1\n1 1\n1 1\n1\n2\n1\n2\n")
-    code, out, err = run(capsys, "build", "--family", "hgp", "--base",
-                         f"alist:{eye}", "--max-weight", "2", "--out",
-                         str(tmp_path / "e"))
-    assert code == 1 and out == ""
-    assert err == "error: code has no logical qubits\n"
+    for family in ("hgp", "bsh"):
+        for cmd in (["build", "--out", str(tmp_path / family)], ["params"]):
+            code, out, err = run(capsys, *cmd, "--family", family, "--base",
+                                 f"alist:{eye}", "--max-weight", "2")
+            assert code == 1 and out == ""
+            assert err == "error: code has no logical qubits\n"
+        assert not (tmp_path / family).exists()
 
 
 def test_build_bsh_rep4_syndrome_distance(tmp_path, capsys):

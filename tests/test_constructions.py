@@ -79,16 +79,16 @@ def test_sehgp_true_distance_is_d_squared():
     assert t.distance(4) == 4
 
 
-def test_cphr_involution_and_validation():
+def test_cphr_involution_and_validation(tagged_equals):
     t = cons.ssh(REP2).tagged
     once = cons.cphr(t, "T2", (1, 2), 2)
     once.validate()
     twice = cons.cphr(once, "T2", (1, 2), 2)
-    assert twice.equals(t)
+    assert tagged_equals(twice, t)
     assert once.metadata["swaps"] != []
 
 
-def test_cphr_rejects_commutation_breaking_swap():
+def test_cphr_rejects_commutation_breaking_swap(tagged_equals):
     # rotating only bands 2-3 of the four-band code anticommutes with the
     # untouched bands 1 and 4; only the composite of both swaps is valid
     t = sehgp2().tagged
@@ -98,7 +98,7 @@ def test_cphr_rejects_commutation_breaking_swap():
     full = cons.cphr(half, "T1", (1, 4), 2)
     full.validate()
     # deferred-validation swap is still an involution
-    assert cons.cphr(half, "T2", (2, 3), 2, validate=False).equals(t)
+    assert tagged_equals(cons.cphr(half, "T2", (2, 3), 2, validate=False), t)
 
 
 def test_bsh_structure():
@@ -223,8 +223,8 @@ def test_sehgp_block_truncations_keep_k_and_d():
     assert commuting > 0
 
 
-def test_xzzx3d_equals_bssh():
-    assert cons.xzzx3d(2).equals(cons.bssh(REP2))
+def test_xzzx3d_equals_bssh(tagged_equals):
+    assert tagged_equals(cons.xzzx3d(2), cons.bssh(REP2))
     assert cons.xzzx3d(2).family == "XZZX3D"
     with pytest.raises(ValueError):
         cons.xzzx3d(1)

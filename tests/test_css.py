@@ -122,8 +122,12 @@ def test_code_distance_counts_logicals_once(monkeypatch):
     assert code_distance(toric18(), 3) == 3
     assert len(counted) == 1
     full = CssCode(f2.identity(3), f2.zeros(0, 3))
+    # paired rows X1, X2, X3 leave no logical either
+    paired = CssCode(f2.identity(3), f2.zeros(3, 3),
+                     metadata={"paired_rows": True})
     for search in (lambda: code_distance(full, 2),
-                   lambda: css.distance(full, "Z", 2)):
+                   lambda: css.distance(full, "Z", 2),
+                   lambda: code_distance(paired, 2)):
         with pytest.raises(NoLogicalsError,
                            match="^code has no logical qubits$"):
             search()

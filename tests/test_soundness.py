@@ -1,4 +1,5 @@
 """Soundness scans, reduced weights, and the two-stage single-shot decoder."""
+import bisect
 import functools
 import gc
 import itertools
@@ -207,12 +208,15 @@ def matcher_case(seed, count=1):
 
 @given(st.integers(0, 2 ** 32))
 @settings(max_examples=400, deadline=None)
-def test_support_matcher_matches_dfs(seed):
+def test_support_matcher_matches_dfs(first_support, seed):
     entries, (target,), cap, (weight, min_group) = matcher_case(seed)
     matcher = SupportMatcher(entries)
     assert matcher.find_min(target, cap) == dfs_find_min(entries, target,
                                                          cap)
-    assert (matcher.find(target, weight, min_group)
+    # the first entry in a group above min_group
+    start = bisect.bisect_right([g for g, _, _ in matcher.entries],
+                                min_group)
+    assert (first_support(matcher, target, weight, start)
             == DfsMatcher(entries).find(target, weight, min_group))
 
 
@@ -309,7 +313,7 @@ def test_support_matcher_supports_match_combinations(block, seed, kind):
         entries, weight, target)
 
 
-def test_key_ghosts_are_rejected_on_value():
+def test_key_ghosts_are_rejected_on_value(first_support):
     rng = random.Random(3)
     g = key_ghost(rng, 100)
     assert g and search_keys([g]) == [0]
@@ -322,7 +326,7 @@ def test_key_ghosts_are_rejected_on_value():
             want = brute_supports(entries, weight, target)
             got = matcher.supports(weight, target).tolist()
             assert [tuple(row) for row in got] == want
-            first = matcher.find(target, weight)
+            first = first_support(matcher, target, weight)
             assert first == (None if not want else
                              [matcher.entries[i][:2] for i in want[0]])
     # keys alone would also accept {a, d}, {b, c, e}, {a, b, c, f} and
@@ -409,8 +413,8 @@ def test_zero_target_reads_match_brute(block, seed):
 
 
 @pytest.mark.parametrize("block", [classical._BLOCK, 3])
-def test_zero_entry_sends_weight_5_to_a_zero_target_after_it(block,
-                                                             monkeypatch):
+def test_zero_entry_sends_weight_5_to_a_zero_target_after_it(
+        block, monkeypatch, first_support):
     """The weight-5 search recurses on its first entry; the zero entry
     leaves the target 0 for the entries after it, which must not reach
     back to entries before it."""
@@ -426,11 +430,11 @@ def test_zero_entry_sends_weight_5_to_a_zero_target_after_it(block,
             want = brute_supports(entries, weight, target)
             got = matcher.supports(weight, target).tolist()
             assert [tuple(row) for row in got] == want
-            assert matcher.find(target, weight) == (
+            assert first_support(matcher, target, weight) == (
                 None if not want else [entries[i][:2] for i in want[0]])
             # a zero target from entry 4 on
             want = [s for s in want if s[0] >= 4]
-            assert matcher.find(target, weight, 3) == (
+            assert first_support(matcher, target, weight, 4) == (
                 None if not want else [entries[i][:2] for i in want[0]])
 
 
@@ -675,12 +679,12 @@ def test_scan_reports_partial_when_cap_hits():
     assert any(isinstance(w, LowerBound) for _, _, w in rep.violations)
 
 
-def test_first_soundness_lemma_instances():
+def test_first_soundness_lemma_instances(brute_distance):
     bases = [REP2, REP3]
     for c1 in bases:
         for c2 in bases:
             j = complexes.tensor(ChainComplex([c1.h]), ChainComplex([c2.h]))
-            t = min(classical.params(c1)[2], classical.params(c2)[2])
+            t = min(brute_distance(c1.h), brute_distance(c2.h))
             for d in (j.boundary(2), j.boundary(1).T.copy()):
                 rep = soundness_scan(d, t=t, f=quarter_square)
                 assert rep.clean, (c1.name, c2.name)
