@@ -165,46 +165,35 @@ class SupportMatcher:
     least_weight gives the least weight of a zero-XOR support that a
     caller's test accepts: every distance in the package.
 
-    Cost, for n entries and T targets.  Each entry is keyed by a fixed
-    random GF(2)-linear map of its value to 64 bits (_key_tables), so a
-    set's key is the XOR of its entries' keys, and a target's key is
-    computed once per search (pack).  There is one table of the n
-    entries and one of the ~n^2/2 pairs of entries from different
-    groups, both _Sorted: one uint64 word an item, its key with its
-    ordinal in the low bits.  The pair table is built at the first
-    search of weight 2 or more, _BLOCK pairs at a time straight into its
-    one array, then sorted in place; it serves every later search.
+    Cost, for n entries.  Each candidate support passes the group test
+    and a full value check, one 64-bit word at a time, and a step holds
+    at most _BLOCK candidates, so temporaries are bounded by the block.
 
-    - Weights 1 to 3 look keys up by binary search (span): weight 1 each
-      target's key in the entry table, weight 2 in the pair table, and
-      weight 3 the XOR of each target's key with the key of each entry
-      from `start` on, in the pair table.
-    - Weight 4 is a join of the pair table with itself: a query is one
-      (target, left pair), the left pairs those whose first entry is
-      `start` or later, and it looks the XOR of their keys up in the
-      pair table's bucket index (probe).
-    - A search for one target whose key is 0 from entry 0 on (every
-      least_weight, and supports(4) of target 0 in the soundness scan)
-      reads weight 4 off runs of equal keys in the pair table instead,
-      with no probe: each word is paired with the later words of its
-      run.
-    - Pair positions are decoded to (first, second) entries only for the
-      words a read or probe keeps; each candidate then goes through the
-      group test and a full value check, one 64-bit word at a time.
-    - A step yields at most _BLOCK candidates, and a join step takes at
-      most _BLOCK queries (or one target and up to _BLOCK left pairs),
-      so temporaries are bounded by the block, not by the tables or the
-      batch.  The weight-4 join's time grows with T times the ~n^2/2
-      pairs, hit or miss; the weight-4 run read's with the pairs of
-      equal key.  find_min keeps the least support of each target in
-      each step, and supports sorts the rows of all steps once, so
-      neither depends on the order of the steps.
-    - Weight 5 and up recurse on the first entry, one weight-4 join per
-      entry, in increasing entry order; find_min stops for each target
-      at the first entry with a completion.
-    - least_weight walks the same steps weight by weight and stops at
-      the first step holding an accepted support, so its memory is
-      bounded by one step, not by the weight shell.
+    - find_min_batch descends on the bit index (_bits), one weight w at
+      a time.  A support of a target with none lighter holds one of the
+      entries that hold its pivot, its set bit that fewest entries hold:
+      each of those is XORed away in turn and the rest searched at
+      weight w - 1, down to weight 1, one binary-search lookup (span) of
+      the key in the entry table.  A miss costs about p^(w - 1) lookups
+      for pivot sets of p entries (12 on the bssh rep:2 decoder); no
+      pair table is built.  Each target keeps its least sorted
+      candidate, so no answer depends on the order of the steps.
+    - supports and least_weight read key tables: each value is keyed by
+      a fixed random GF(2)-linear map to 64 bits (_key_tables), so a
+      set's key is the XOR of its entries' keys.  The n entries and the
+      ~n^2/2 pairs of entries from different groups are each one
+      _Sorted table, one uint64 word an item, its key with its ordinal
+      in the low bits; the pair table is built _BLOCK pairs at a time.
+      Weights 1 to 3 span-look up the target's key in the entry table,
+      in the pair table, and XORed with each entry's from `start` on in
+      the pair table.  Weight 4 probes the pair table's bucket index
+      with the XOR of the target's key and each pair's from `start` on,
+      _BLOCK queries a step, in time that grows with the ~n^2/2 pairs;
+      for a target whose key is 0, from entry 0 on (every least_weight),
+      it reads runs of equal keys in the pair table instead.  Weight 5
+      and up recurse on the first entry.  supports sorts the rows of all
+      steps once; least_weight stops at the first step with an accepted
+      support, so its memory is bounded by one step.
     """
 
     def __init__(self, entries: list[tuple[int, object, int]]):
@@ -213,9 +202,11 @@ class SupportMatcher:
         self._values = [v for _, _, v in self.entries]
         # _after[i]: index of the first entry in a group above entry i's
         self._after = [bisect.bisect_right(groups, g) for g in groups]
+        self._groups = np.array(groups, dtype=np.intp)
         self._arrays = None
         self._singles = None
         self._pairs = None
+        self._bit_index = None
 
     @classmethod
     def for_columns(cls, m) -> "SupportMatcher":
@@ -323,18 +314,92 @@ class SupportMatcher:
             # a target with bits above the entries' words has no support
             live = (~words[width:].any(axis=0)).nonzero()[0]
             keys, words = keys[live], words[:width, live]
+        if not len(live):
+            return weight, rows
+        ranked = _ranked(words, self._bits()[0])
         for w in range(cap + 1):
             if not len(live):
                 break
-            got, sub = self._first(keys, words, w, 0)
-            if len(got):
-                weight[live[got]] = w
-                rows[live[got], :w] = sub
-                if len(got) == len(live):
-                    break
-                keep = _unanswered(len(live), got)
-                live, keys, words = live[keep], keys[keep], words[:, keep]
+            # no live target has a support below w, so each candidate of
+            # weight w is a least one
+            parts = [part for part in self._descend(
+                np.arange(len(live)), keys, ranked, [], w, words)
+                if len(part[0])]
+            if not parts:
+                continue
+            got, sub = _least(parts)
+            weight[live[got]] = w
+            rows[live[got], :w] = sub
+            keep = np.ones(len(live), dtype=bool)
+            keep[got] = False
+            live, keys, words = live[keep], keys[keep], words[:, keep]
+            ranked = ranked[:, keep]
         return weight, rows
+
+    def _bits(self):
+        """(order, ranked, starts, holders, dead): the bit index.  Bits
+        are ranked by how many entries hold them, fewest first: rank r
+        is bit order[r], held by entries holders[starts[r]:starts[r + 1]]
+        (none below rank dead); ranked is the entries' words in rank
+        order (_ranked)."""
+        if self._bit_index is None:
+            words = self._tables()[0]
+            held = _unpack(words)
+            count = held.sum(axis=0)
+            order = np.argsort(count, kind="stable")
+            starts = np.zeros(len(order) + 1, dtype=np.intp)
+            np.cumsum(count[order], out=starts[1:])
+            self._bit_index = (order, _ranked(words, order), starts,
+                               held.take(order, axis=1).T.nonzero()[1],
+                               int(np.count_nonzero(count == 0)))
+        return self._bit_index
+
+    def _descend(self, tgt, keys, ranked, cols, weight: int, twords):
+        """Yield, unsorted and in parts, (targets, rows): each support of
+        the given weight of each remainder i (keys[i], ranked[:, i]) that
+        uses no group of the entries cols[j][i] taken for it, joined to
+        them and sorted; tgt[i] is its target.  A support holds an odd
+        number of the entries that hold the remainder's pivot, so one or
+        more: each is XORed away in turn.  A remainder whose pivot no
+        entry holds, or 0 above weight 0, has none (the latter for a
+        target with no lighter support)."""
+        if weight == 0:
+            hit = (~ranked.any(axis=0)).nonzero()[0]
+            yield tgt[hit], np.zeros((len(hit), 0), dtype=np.int64)
+            return
+        if weight == 1:
+            # binary searches run about twice as fast on sorted keys
+            table, order = self._table(1), np.argsort(keys)
+            lo, hi = table.span(keys[order])
+            steps = ((order[item], table.ordinals(pos))
+                     for item, pos in _spans(lo, hi - lo))
+        else:
+            _, eranked, starts, holders, dead = self._bits()
+            # the pivot, the lowest set bit of the first nonzero word:
+            # frexp reads the exponent of word & -word exactly (0 for 0)
+            k = (ranked != 0).argmax(axis=0)
+            word = ranked[k, np.arange(len(keys))]
+            low = (word & (~word + np.uint64(1))).astype(np.float64)
+            pivot = 64 * k + np.frexp(low)[1] - 1
+            live = (pivot >= dead).nonzero()[0]
+            pivot = pivot[live]
+            steps = ((live[item], holders[pos]) for item, pos in
+                     _spans(starts[pivot], starts[pivot + 1] - starts[pivot]))
+        groups, ekeys = self._groups, self._tables()[1]
+        for item, e in steps:
+            ok = np.ones(len(e), dtype=bool)
+            for col in cols:
+                ok &= groups.take(col.take(item)) != groups.take(e)
+            item, e = item[ok], e[ok]
+            row = [col.take(item) for col in cols] + [e]
+            if weight == 1:
+                yield self._exact(tgt.take(item), np.sort(
+                    np.column_stack(row), axis=1), twords)
+            else:
+                yield from self._descend(
+                    tgt.take(item), keys.take(item) ^ ekeys.take(e),
+                    ranked.take(item, axis=1) ^ eranked.take(e, axis=1),
+                    row, weight - 1, twords)
 
     def supports(self, weight: int, target: int = 0) -> np.ndarray:
         """Every support of the given weight whose values XOR to target.
@@ -371,39 +436,6 @@ class SupportMatcher:
                 if len(got) and (keep is None or keep(got)):
                     return w
         return LowerBound(cap)
-
-    def _first(self, tkeys, twords, weight: int, start: int):
-        """(targets, rows): each target that has a support of the given
-        weight using only entries from index `start` on, with its
-        lexicographically first one."""
-        if weight == 0:
-            hit = (~twords.any(axis=0)).nonzero()[0]
-            return hit, np.zeros((len(hit), 0), dtype=np.int64)
-        if weight < 5:
-            parts = [_least(*part) for part in
-                     self._blocks(tkeys, twords, weight, start)
-                     if len(part[0])]
-        else:
-            words, keys, after, _, _ = self._tables()
-            live, parts = np.arange(len(tkeys)), []
-            # the first entry that completes decides each target
-            for a in range(start, len(keys)):
-                if not len(live):
-                    break
-                got, rest = self._first(tkeys[live] ^ keys[a],
-                                        twords[:, live] ^ words[:, a, None],
-                                        weight - 1, after[a])
-                if len(got):
-                    parts.append((live[got], np.column_stack(
-                        [np.full(len(got), a), rest])))
-                    live = live[_unanswered(len(live), got)]
-        if len(parts) == 1:
-            return parts[0]
-        if not parts:
-            return np.zeros(0, dtype=np.intp), np.zeros((0, weight),
-                                                        dtype=np.int64)
-        return _least(np.concatenate([t for t, _ in parts]),
-                      np.concatenate([r for _, r in parts]))
 
     def _blocks(self, tkeys, twords, weight: int, start: int):
         """Yield, unsorted and in parts, (targets, rows) for every support
@@ -510,6 +542,19 @@ def _pack(values, tables: np.ndarray):
     return keys, raw.view("<u8").T
 
 
+def _unpack(words: np.ndarray) -> np.ndarray:
+    """The bits of each column of words (W, count) as a uint8 row: bit
+    64k + j is bit j of word k."""
+    return np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8),
+                         axis=1, bitorder="little")
+
+
+def _ranked(words: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """words (W, count), bit r of each column moved from bit order[r]."""
+    return np.packbits(_unpack(words).take(order, axis=1), axis=1,
+                       bitorder="little").view("<u8").T
+
+
 def _spans(base: np.ndarray, count: np.ndarray):
     """Yield (item, position) arrays, at most _BLOCK long, that list the
     positions base[i] .. base[i] + count[i] - 1 of each item i in turn."""
@@ -521,16 +566,10 @@ def _spans(base: np.ndarray, count: np.ndarray):
         yield item, base[item] + k - (ends[item] - count[item])
 
 
-def _unanswered(count: int, got: np.ndarray) -> np.ndarray:
-    """Mask of the count targets of a batch that are not in got."""
-    keep = np.ones(count, dtype=bool)
-    keep[got] = False
-    return keep
-
-
-def _least(got: np.ndarray, rows: np.ndarray):
-    """The lexicographically least row of each target in got, as
-    (targets, rows)."""
+def _least(parts):
+    """The lexicographically least row of each target in (targets, rows)
+    parts, as (targets, rows)."""
+    got, rows = (np.concatenate(part) for part in zip(*parts))
     if len(got) > 1:
         order = np.lexsort((*rows.T[::-1], got))
         got, rows = got[order], rows[order]

@@ -8,14 +8,14 @@ single-shot experiments.
 
 All three searches run on classical.SupportMatcher: minimum-weight sets
 of columns (or of single-qubit Paulis) whose XOR hits a target.  It
-keys every value by a random GF(2)-linear 64-bit map and meets in the
-middle on one key-sorted table of entry pairs: weights 1 to 3 look keys
-up in the sorted entries and pairs, and weight 4 joins the pair table
-with itself.  Among the supports of least weight it returns the
-lexicographically first one in sorted-entry order, so a decoder's
-output is fixed by its entries and its target alone.  The decoder asks
-for one target at a time; the scan lists the achievable syndromes of
-one weight from the same tables and answers all of them in one batch.
+branches on the entries that hold the target's rarest set bit, one of
+which every support holds, XORs each away and repeats on the rest,
+down to one key lookup in the sorted entries; it builds no pair table.
+Among the supports of least weight it returns the lexicographically
+first one in sorted-entry order, so a decoder's output is fixed by its
+entries and its target alone.  The decoder asks for one target at a
+time; the scan lists the achievable syndromes of one weight from a
+key-sorted table of entry pairs and answers all of them in one batch.
 
 Bounds are compared in exact rational arithmetic; no floats.
 """

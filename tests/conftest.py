@@ -183,13 +183,14 @@ def _tagged_equals(a, b):
 def _first_support(matcher, target, weight, start=0):
     """The lexicographically first support of exactly the given weight
     that uses only entries from index start on, as (group, tag) pairs,
-    or None: SupportMatcher._first for one target."""
-    if target >> (64 * len(matcher._tables()[0])):
+    or None: the first row of SupportMatcher.supports whose first entry
+    is start or later (supports lists its rows in lexicographic order)."""
+    rows = matcher.supports(weight, target)
+    if weight:
+        rows = rows[rows[:, 0] >= start]
+    if not len(rows):
         return None
-    _, got = matcher._first(*matcher.pack([target]), weight, start)
-    if not len(got):
-        return None
-    return [matcher.entries[i][:2] for i in got[0].tolist()]
+    return [matcher.entries[i][:2] for i in rows[0].tolist()]
 
 
 @pytest.fixture

@@ -269,6 +269,121 @@ def test_find_min_batch_rejects_key_ghosts(block, monkeypatch):
                              5)
 
 
+def descent_case(seed):
+    """Entries, targets and cap for the pivot descent of find_min_batch.
+
+    Groups hold X/Z/Y triples, the zero value, two fresh values, a
+    duplicate of an earlier value (so across groups), or a fresh value.
+    Values use only the bits of a random mask, so some bits below the
+    entries' width are held by no entry; at 3 to 5 bits they are dense,
+    and the pivot sets hold most of the entries.  Targets XOR one entry
+    from each of up to cap groups, and a quarter of them then flip a
+    bit that no entry holds, when there is one.
+    """
+    rng = random.Random(seed)
+    bits = rng.choice((3, 4, 5, 8, 16, 70))
+    mask = rng.getrandbits(bits) | 1 << (bits - 1)
+    entries = []
+    n_groups = rng.randint(1, 8)
+    for g in range(n_groups):
+        kind = rng.random()
+        if kind < 0.3:
+            x, z = rng.getrandbits(bits) & mask, rng.getrandbits(bits) & mask
+            entries += [(g, "X", x), (g, "Z", z), (g, "Y", x ^ z)]
+        elif kind < 0.4:
+            entries.append((g, 0, 0))
+        elif kind < 0.5:
+            entries += [(g, t, rng.getrandbits(bits) & mask) for t in (0, 1)]
+        elif entries and kind < 0.7:
+            entries.append((g, 0, rng.choice(entries)[2]))
+        else:
+            entries.append((g, 0, rng.getrandbits(bits) & mask))
+    # the DFS reference walks n^(cap - 1) sets on a miss
+    cap = rng.randint(0, 5 if len(entries) <= 12 else 4)
+    unheld = [b for b in range(bits) if not mask >> b & 1]
+    targets = []
+    for _ in range(8):
+        t = 0
+        for g in rng.sample(range(n_groups), min(n_groups,
+                                                 rng.randint(0, cap))):
+            t ^= rng.choice([v for h, _, v in entries if h == g])
+        if unheld and rng.random() < 0.25:
+            t ^= 1 << rng.choice(unheld)
+        targets.append(t)
+    return entries, targets, cap
+
+
+@pytest.mark.parametrize("block", [classical._BLOCK, 3])
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=150, deadline=None)
+def test_descent_matches_dfs(block, seed):
+    """find_min_batch against DfsMatcher on zero values, unheld target
+    bits, dense values with large pivot sets, duplicates across groups,
+    Pauli triples and groups of two; every step of the descent below
+    the batch's top level, and every candidate step, holds at most
+    _BLOCK rows."""
+    entries, targets, cap = descent_case(seed)
+    sizes = []
+    descend, exact = SupportMatcher._descend, SupportMatcher._exact
+
+    def spy_descend(self, tgt, keys, ranked, cols, weight, twords):
+        if cols:
+            sizes.append(len(keys))
+        return descend(self, tgt, keys, ranked, cols, weight, twords)
+
+    def spy_exact(self, got, rows, twords):
+        sizes.append(len(rows))
+        return exact(self, got, rows, twords)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "_BLOCK", block)
+        mp.setattr(SupportMatcher, "_descend", spy_descend)
+        mp.setattr(SupportMatcher, "_exact", spy_exact)
+        assert_batch_matches_dfs(entries, targets, cap)
+    assert max(sizes, default=0) <= block
+
+
+def test_find_min_builds_no_pair_table():
+    """find_min and find_min_batch descend on the bit index: a cap-4
+    miss, and a batch with hits at every weight, build neither the pair
+    table nor the entry table's bucket index."""
+    rng = random.Random(9)
+    entries = [(q, p, rng.getrandbits(40)) for q in range(12)
+               for p in "XZY"]
+    matcher = SupportMatcher(entries)
+    assert matcher.find_min(rng.getrandbits(40), 4) == (None, None)
+    targets = [0] + [functools.reduce(operator.xor, (v for _, _, v in
+                                                     entries[:3 * w:3]), 0)
+                     for w in range(1, 5)]
+    weight, _ = matcher.find_min_batch(*matcher.pack(targets), 4)
+    assert weight.tolist() == [0, 1, 2, 3, 4]
+    assert matcher._pairs is None
+    assert matcher._table(1)._offsets is None
+
+
+def test_find_min_batch_weight_5_matches_supports_rsh1_rep2():
+    """On rsh1 rep:2's syndrome map, find_min_batch at cap 5 agrees with
+    the key-table engine: the least w with a support of weight w, and
+    the first one.  The 20 achievable weight-4 syndromes are 7 answered
+    at weight 5, 7 with none of weight <= 5, and 6 others."""
+    c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1).css
+    d = StabilizerModel.from_code(c).syndrome_map
+    matcher = SupportMatcher.for_columns(d)
+    unit = f2.columns_as_ints(f2.identity(d.shape[0]))
+    targets = [functools.reduce(operator.xor, (unit[i] for i in supp))
+               for supp in SupportMatcher.for_columns(
+                   f2.kernel_basis(d.T)).supports(4).tolist()]
+    weight, rows = matcher.find_min_batch(*matcher.pack(targets), 5)
+    pick = [i for w in (5, -1) for i in (weight == w).nonzero()[0][:7]]
+    pick += (weight < 5).nonzero()[0][::1000][:6].tolist()
+    assert len(pick) == 20
+    for i in pick:
+        first = next(((w, s[0].tolist()) for w in range(6)
+                      for s in [matcher.supports(w, targets[i])] if len(s)),
+                     (-1, []))
+        assert (int(weight[i]), rows[i, :max(first[0], 0)].tolist()) == first
+
+
 def brute_supports(entries, weight, target):
     """Oracle for SupportMatcher.supports: every index tuple into the
     sorted entries, in combinations order, with one entry per group and
@@ -501,12 +616,15 @@ def test_matcher_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         matcher = SupportMatcher(entries)
-        # a miss walks every weight up to 4, so the probe index is built
-        assert matcher.find_min(1 << 40, 4) == (None, None)
+        # a miss on a bit that no entry holds builds the bit index, and
+        # weight 5 joins pairs of pairs, so the probe index is built
+        assert matcher.find_min(1 << 12, 4) == (None, None)
+        assert len(matcher.supports(5))
         assert matcher._table(2)._offsets is not None
-        alive = weakref.ref(matcher), weakref.ref(matcher._table(2))
+        alive = [weakref.ref(matcher), weakref.ref(matcher._table(2))] + [
+            weakref.ref(a) for a in matcher._bits()[:4]]
         del matcher
-        assert [ref() for ref in alive] == [None, None]
+        assert [ref() for ref in alive] == [None] * 6
     finally:
         gc.enable()
 
