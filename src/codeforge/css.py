@@ -173,7 +173,7 @@ def distance(c: CssCode, kind: str, max_weight: int, k: int | None = None):
             both, for the code distance with one k >= 1 check.
         max_weight: Search cap; SupportMatcher.least_weight walks the
             kernel supports by increasing weight and stops at the first
-            search block with a vector outside the stabilizer coset.
+            search step with a vector outside the stabilizer coset.
         k: The code's logical_count, when the caller already has it.
 
     Returns:

@@ -10,12 +10,12 @@ All three searches run on classical.SupportMatcher: minimum-weight sets
 of columns (or of single-qubit Paulis) whose XOR hits a target.  It
 branches on the entries that hold the target's rarest set bit, one of
 which every support holds, XORs each away and repeats on the rest,
-down to one key lookup in the sorted entries; it builds no pair table.
-Among the supports of least weight it returns the lexicographically
-first one in sorted-entry order, so a decoder's output is fixed by its
-entries and its target alone.  The decoder asks for one target at a
-time; the scan lists the achievable syndromes of one weight from a
-key-sorted table of entry pairs and answers all of them in one batch.
+down to one key lookup in the sorted entries.  Among the supports of
+least weight it returns the lexicographically first one in
+sorted-entry order, so a decoder's output is fixed by its entries and
+its target alone.  The decoder asks for one target at a time; the scan
+lists the achievable syndromes of one weight with the same descent and
+answers all of them in one batch.
 
 Bounds are compared in exact rational arithmetic; no floats.
 """
@@ -205,12 +205,11 @@ def soundness_scan(syndrome_map, t: int, f=quarter_square,
     ach @ s = 0 for the annihilator ach of the image, so the achievable
     syndromes of weight w are the zero-XOR supports of weight w of the
     columns of ach.  One SupportMatcher lists them in lexicographic
-    order from its sorted key tables (binary-search lookups up to weight
-    3, runs of equal pair keys at weight 4) rather than a walk over all
-    C(m, w) supports, so the full weight shell is cheap.  Their search
-    keys and words are XORs of those of the unit vectors, and one
-    find_min_batch call over the columns of d answers every syndrome of
-    one weight; the report is then read off its result arrays.
+    order by its descent (SupportMatcher.supports) rather than a walk
+    over all C(m, w) supports.  Their search keys and words are XORs of
+    those of the unit vectors, and one find_min_batch call over the
+    columns of d answers every syndrome of one weight; the report is
+    then read off its result arrays.
 
     Args:
         syndrome_map: The map d; errors live on its columns.

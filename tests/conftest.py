@@ -97,31 +97,6 @@ def _loop_row_echelon(m):
     return r, pivot_cols
 
 
-def _one_shot_pair_table(matcher):
-    """The one-shot pair table build that SupportMatcher's blocked one
-    replaced, kept as its oracle: (words, bits, first, second).
-
-    Every pair i < j of entries in different groups is listed by i,
-    then j; words are their keys with the low bits = bit_length(N - 1)
-    replaced by the pair's position p in that list, sorted, and
-    (first[p], second[p]) is pair p."""
-    keys = matcher._tables()[1]
-    after = np.array(matcher._after, dtype=np.int32)
-    counts = len(keys) - after
-    # pairs (i, after[i]), ..., (i, n - 1) for each i in turn
-    starts = np.cumsum(counts, dtype=np.int32) - counts
-    second = np.arange(counts.sum(), dtype=np.int32)
-    second -= np.repeat(starts - after, counts)
-    first = np.repeat(np.arange(len(keys), dtype=np.int32), counts)
-    words = np.repeat(keys, counts)
-    words ^= keys.take(second)
-    bits = max(0, len(words) - 1).bit_length()
-    words &= ~np.uint64((1 << bits) - 1)
-    words |= np.arange(len(words), dtype=np.uint64)
-    words.sort()
-    return words, bits, first, second
-
-
 def _brute_distance(h):
     """Minimum nonzero codeword weight by enumerating all 2^k codewords
     of the kernel basis span, or None when the kernel is trivial."""
@@ -211,11 +186,6 @@ def loop_write_alist():
 @pytest.fixture(scope="session")
 def loop_row_echelon():
     return _loop_row_echelon
-
-
-@pytest.fixture(scope="session")
-def one_shot_pair_table():
-    return _one_shot_pair_table
 
 
 @pytest.fixture(scope="session")

@@ -304,7 +304,7 @@ def test_pauli_distance_matches_brute_on_random_stabilizers(block, seed):
     cap = int(rng.integers(1, 6))
     want = brute_pauli_distance(sx, sz, cap)
     # at block size 3 a weight-4 search (reached when every lighter
-    # undetected error is a stabilizer) walks many join blocks
+    # undetected error is a stabilizer) walks many search steps
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classical, "_BLOCK", block)
         got = cons.pauli_distance(sx, sz, cap)
@@ -312,20 +312,20 @@ def test_pauli_distance_matches_brute_on_random_stabilizers(block, seed):
 
 
 def test_distance_searches_stop_mid_shell(monkeypatch):
-    """On the 4x4 toric code (d = 4) with join blocks of 3 pairs, the
-    weight-4 shell opens with blocks holding stabilizers only: both
-    distance searches pass them and stop at a later block, before the
+    """On the 4x4 toric code (d = 4) with search steps of 3 rows, both
+    distance searches walk past a weight-4 step that keep rejects (the
+    spy rejects the first one) and stop at a later step, before the
     shell's last one."""
     monkeypatch.setattr(classical, "_BLOCK", 3)
     batch = f2.RowSpaceTester.contains_batch
-    all_stabilizers = []
-    every_block = False
+    tested = []
+    every_step = False
 
     def spy(self, vs):
         got = batch(self, vs)
-        all_stabilizers.append(bool(got.all()))
-        # a walk of the whole shell: every block holds stabilizers only
-        return np.ones_like(got) if every_block else got
+        tested.append(vs)
+        # reject the first step, or every step: a walk of the whole shell
+        return np.ones_like(got) if every_step or len(tested) == 1 else got
 
     monkeypatch.setattr(f2.RowSpaceTester, "contains_batch", spy)
     rep4 = classical.repetition_closed_loop(4)
@@ -333,16 +333,18 @@ def test_distance_searches_stop_mid_shell(monkeypatch):
     for search in (lambda cap: css.distance(c, "X", cap),
                    lambda cap: css.distance(c, "Z", cap),
                    lambda cap: cons.pauli_distance(c.stab_x, c.stab_z, cap)):
-        every_block = False
-        all_stabilizers.clear()
+        every_step = False
+        tested.clear()
         assert search(4) == 4
-        assert all_stabilizers[0] and not all_stabilizers[-1]
-        # no support weighs 1 to 3, so every tested block is of weight 4
-        stopped_after = len(all_stabilizers)
-        every_block = True
-        all_stabilizers.clear()
+        # no support weighs 1 to 3, so every tested step is of weight 4
+        assert len(tested) > 1
+        assert all((np.count_nonzero(vs.reshape(len(vs), -1, c.n).any(
+            axis=1), axis=1) == 4).all() for vs in tested)
+        stopped_after = len(tested)
+        every_step = True
+        tested.clear()
         assert search(4) == LowerBound(4)
-        assert stopped_after < len(all_stabilizers)
+        assert stopped_after < len(tested)
 
 
 def test_pauli_distance_lower_bound():

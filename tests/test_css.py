@@ -92,8 +92,9 @@ def test_distance_hgp_rep3():
 
 @pytest.mark.parametrize("block", [classical._BLOCK, 3])
 def test_distance_matches_full_enumeration(block, monkeypatch):
-    # d = 2 here, so block size 3 changes only how the key index counts
-    # its buckets; test_distance_searches_stop_mid_shell spans blocks
+    # d = 2 here, so block size 3 cuts only the first levels of the
+    # descent into steps; test_distance_searches_stop_mid_shell stops
+    # between steps of one weight
     monkeypatch.setattr(classical, "_BLOCK", block)
     rep2 = classical.repetition_closed_loop(2)
     c = hgp(rep2.h, rep2.h).css  # 8 qubits

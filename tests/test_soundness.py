@@ -2,6 +2,7 @@
 import bisect
 import functools
 import gc
+import hashlib
 import itertools
 import math
 import operator
@@ -326,10 +327,11 @@ def test_descent_matches_dfs(block, seed):
     sizes = []
     descend, exact = SupportMatcher._descend, SupportMatcher._exact
 
-    def spy_descend(self, tgt, keys, ranked, cols, weight, twords):
+    def spy_descend(self, tgt, keys, ranked, cols, weight, twords,
+                    floor=None):
         if cols:
             sizes.append(len(keys))
-        return descend(self, tgt, keys, ranked, cols, weight, twords)
+        return descend(self, tgt, keys, ranked, cols, weight, twords, floor)
 
     def spy_exact(self, got, rows, twords):
         sizes.append(len(rows))
@@ -343,29 +345,41 @@ def test_descent_matches_dfs(block, seed):
     assert max(sizes, default=0) <= block
 
 
-def test_find_min_builds_no_pair_table():
-    """find_min and find_min_batch descend on the bit index: a cap-4
-    miss, and a batch with hits at every weight, build neither the pair
-    table nor the entry table's bucket index."""
+def test_find_min_builds_no_pair_table(monkeypatch):
+    """find_min and find_min_batch descend with no floor: a cap-4 miss,
+    and a batch with hits at every weight, never take the branch of a
+    zero remainder, which only supports and least_weight need."""
     rng = random.Random(9)
     entries = [(q, p, rng.getrandbits(40)) for q in range(12)
                for p in "XZY"]
     matcher = SupportMatcher(entries)
+    floors = []
+    descend = SupportMatcher._descend
+
+    def spy(self, tgt, keys, ranked, cols, weight, twords, floor=None):
+        floors.append(floor)
+        return descend(self, tgt, keys, ranked, cols, weight, twords, floor)
+
+    monkeypatch.setattr(SupportMatcher, "_descend", spy)
     assert matcher.find_min(rng.getrandbits(40), 4) == (None, None)
     targets = [0] + [functools.reduce(operator.xor, (v for _, _, v in
                                                      entries[:3 * w:3]), 0)
                      for w in range(1, 5)]
     weight, _ = matcher.find_min_batch(*matcher.pack(targets), 4)
     assert weight.tolist() == [0, 1, 2, 3, 4]
-    assert matcher._pairs is None
-    assert matcher._table(1)._offsets is None
+    assert floors and all(floor is None for floor in floors)
 
 
 def test_find_min_batch_weight_5_matches_supports_rsh1_rep2():
     """On rsh1 rep:2's syndrome map, find_min_batch at cap 5 agrees with
-    the key-table engine: the least w with a support of weight w, and
-    the first one.  The 20 achievable weight-4 syndromes are 7 answered
-    at weight 5, 7 with none of weight <= 5, and 6 others."""
+    supports taken one weight at a time: the least w with a support of
+    weight w, and the first one.  Both run on _descend, find_min_batch
+    with no floor, dropping zero remainders and keeping each target's
+    least row, and supports from floor 0, sorting every row; so this
+    pins the pruning and the tie-break of the first against the full
+    listing, not one engine against another.  The 20 achievable
+    weight-4 syndromes are 7 answered at weight 5, 7 with none of
+    weight <= 5, and 6 others."""
     c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1).css
     d = StabilizerModel.from_code(c).syndrome_map
     matcher = SupportMatcher.for_columns(d)
@@ -418,8 +432,7 @@ def test_support_matcher_supports_match_combinations(block, seed, kind):
         target = 0
         for g in rng.sample(groups, min(weight, len(groups))):
             target ^= rng.choice([v for h, _, v in entries if h == g])
-    # at block size 3 a weight-4 join spans many blocks, and weight 5
-    # recurses on the first entry over them
+    # at block size 3 each level of the descent spans many steps
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classical, "_BLOCK", block)
         got = SupportMatcher(entries).supports(weight, target)
@@ -503,7 +516,7 @@ def test_zero_target_reads_match_brute(block, seed):
         assert matcher.least_weight(cap) == (
             LowerBound(cap) if first is None else first)
         # keep accepts a random part of the supports; the search must
-        # stop at the first block that holds one of them
+        # stop at the first step that holds one of them
         accepted = {s for w in range(1, 5) for s in want[w]
                     if rng.random() < 0.3}
         seen = []
@@ -519,7 +532,7 @@ def test_zero_target_reads_match_brute(block, seed):
     for rows in seen:
         w = len(rows[0])
         assert set(rows) <= set(want[w])
-        assert w == 1 or len(rows) <= block
+        assert len(rows) <= block
     hits = [any(r in accepted for r in rows) for rows in seen]
     if first is None:
         assert not any(hits)
@@ -527,12 +540,45 @@ def test_zero_target_reads_match_brute(block, seed):
         assert hits == [False] * (len(hits) - 1) + [True]
 
 
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_descent_takes_no_entry_below_a_floor(seed):
+    """Given floors, each entry a row takes is at or above its floor, or
+    is the entry that has just set it (floor - 1, the least entry of the
+    rest of a zero remainder's support).  Taking entries below the floor
+    would give no wrong row, only repeats that supports drops, so the
+    answers alone cannot show it; but a zero-XOR support of weight 2 or
+    3 is found once only, from its least entry, as the rest then holds
+    exactly one holder of any pivot."""
+    entries, ghost = zero_case(seed)
+    matcher = SupportMatcher(entries)
+    descend = SupportMatcher._descend
+    below = []
+
+    def spy(self, tgt, keys, ranked, cols, weight, twords, floor=None):
+        if floor is not None and cols:
+            below.append(int(np.count_nonzero(cols[-1] < floor - 1)))
+        return descend(self, tgt, keys, ranked, cols, weight, twords, floor)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SupportMatcher, "_descend", spy)
+        for w in range(2, 5):
+            matcher.supports(w)
+            matcher.supports(w, ghost)
+        matcher.least_weight(4, lambda rows: False)
+    assert below == [0] * len(below)
+    for w in (2, 3):
+        rows = np.concatenate([np.zeros((0, w), dtype=np.int64),
+                               *matcher._walk(0, w)])
+        assert len(np.unique(rows, axis=0)) == len(rows)
+
+
 @pytest.mark.parametrize("block", [classical._BLOCK, 3])
 def test_zero_entry_sends_weight_5_to_a_zero_target_after_it(
         block, monkeypatch, first_support):
-    """The weight-5 search recurses on its first entry; the zero entry
-    leaves the target 0 for the entries after it, which must not reach
-    back to entries before it."""
+    """The zero entry leaves a remainder of 0 below the top level of the
+    descent, which then takes each entry from the row's floor on as the
+    least of the rest; it must not reach back below the floor."""
     rng = random.Random(5)
     a, b, c = (rng.getrandbits(16) for _ in range(3))
     entries = [(0, 0, a), (1, 0, b), (2, 0, a ^ b), (3, 0, 0),
@@ -553,58 +599,69 @@ def test_zero_entry_sends_weight_5_to_a_zero_target_after_it(
                 None if not want else [entries[i][:2] for i in want[0]])
 
 
-def pair_table_cases():
-    """Entry lists for the pair table: 0, 1 and 2 entries, one group
-    only, Pauli triples, and long rows of pairs, which blocks of 3 cut
-    mid-row."""
-    rng = random.Random(11)
-    triples = [(q, p, v) for q in range(5)
-               for x, z in [(rng.getrandbits(20), rng.getrandbits(20))]
-               for p, v in (("X", x), ("Z", z), ("Y", x ^ z))]
-    return [[], [(0, 0, 5)], [(0, 0, 5), (1, 0, 5)], [(0, 0, 5), (0, 1, 6)],
-            [(0, t, rng.getrandbits(8)) for t in range(6)], triples,
-            [(g, 0, rng.getrandbits(70)) for g in range(12)],
-            [(rng.randrange(5), t, rng.getrandbits(8)) for t in range(15)]]
-
-
-@pytest.mark.parametrize("block", [classical._BLOCK, 3])
-@pytest.mark.parametrize("case", range(len(pair_table_cases())))
-def test_blocked_pair_table_matches_one_shot(block, case, monkeypatch,
-                                             one_shot_pair_table):
-    entries = pair_table_cases()[case]
-    monkeypatch.setattr(classical, "_BLOCK", block)
-    matcher = SupportMatcher(entries)
-    words, bits, first, second = one_shot_pair_table(matcher)
-    table = matcher._table(2)
-    assert table.words.dtype == np.uint64 and int(table.bits) == bits
-    assert table.words.tolist() == words.tolist()
-    got = matcher._pairs_of(np.arange(len(words)))
-    assert got[0].tolist() == first.tolist()
-    assert got[1].tolist() == second.tolist()
-    # and the decoding of the sorted words' own ordinals
-    got = matcher._pairs_of(table.ordinals(np.arange(len(words))))
-    want = (words & np.uint64((1 << bits) - 1)).astype(np.intp)
-    assert got[0].tolist() == first[want].tolist()
-    assert got[1].tolist() == second[want].tolist()
-
-
 def test_steps_hold_at_most_block_candidates(monkeypatch):
-    """Five pairs of later groups XOR to 1, the value of entry 0, so a
-    span read of key 1, the weight-3 lookup of entry 0 and the weight-4
-    probe of a target that extends pair (1, 2) each match five pairs;
-    blocks of 3 cut them into steps."""
+    """Five pairs of later groups XOR to 1, the value of entry 0, so
+    target 1 has five supports of weight 2, and target 0 five of weight
+    3 and more of weight 4; blocks of 3 cut them into steps, for
+    supports and for the least_weight walk alike."""
     monkeypatch.setattr(classical, "_BLOCK", 3)
     entries = [(0, 0, 1), (0, 1, 1 << 20), (1, 0, 1 << 21)] + [
         (g, 0, v) for i in range(1, 6)
         for g, v in ((2 * i, 2 << i), (2 * i + 1, 2 << i ^ 1))]
     matcher = SupportMatcher(entries)
+    sizes = []
+    exact = SupportMatcher._exact
+
+    def spy(self, got, rows, twords):
+        sizes.append(len(rows))
+        return exact(self, got, rows, twords)
+
+    monkeypatch.setattr(SupportMatcher, "_exact", spy)
     for weight, target in ((2, 1), (3, 0), (4, 0), (4, 3 << 20 ^ 1)):
-        rows = [r for _, r in matcher._blocks(*matcher.pack([target]),
-                                              weight, 0)]
-        assert all(len(r) <= 3 for r in rows)
-        got = sorted(tuple(r) for part in rows for r in part.tolist())
+        sizes.clear()
         want = brute_supports(entries, weight, target)
-        assert got == want and len(want) >= 5
+        got = matcher.supports(weight, target).tolist()
+        assert [tuple(r) for r in got] == want and len(want) >= 5
+        assert sizes and max(sizes) <= 3
+    # keep accepts only the last zero support of weight 4, so the walk
+    # passes every step of weights 1 to 3
+    last = brute_supports(entries, 4, 0)[-1]
+    seen = []
+
+    def keep(rows):
+        seen.append(rows.shape)
+        return last in [tuple(r) for r in rows.tolist()]
+
+    assert matcher.least_weight(4, keep) == 4
+    assert {w for _, w in seen} == {3, 4}
+    assert max(n for n, _ in seen) <= 3
+
+
+SCAN_SUPPORTS_4 = {
+    # (rows, sha256 of the rows as little-endian int64), recorded with
+    # the meet-in-the-middle pair-table engine that the descent replaced
+    "rsh1": ((7408, 4), "2836cc6c70f0ee6637c624ca830bdec4"
+                        "b48f96ada235ff3c0103fbc6d191b679"),
+    "bsh": ((972, 4), "8916e6a55f58bfbe30809f68991c61b6"
+                      "98b16cec7993f8936b29c98e7c9e4a26"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SCAN_SUPPORTS_4))
+def test_scan_annihilator_supports_4_are_pinned(family):
+    """The achievable weight-4 syndromes of rsh1 rep:2 and bsh rep:3, the
+    zero-XOR supports of weight 4 of the columns of their annihilators
+    (dense ones, whose pivot sets are large), are the rows the
+    pair-table engine listed, in the same order."""
+    if family == "rsh1":
+        c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1).css
+    else:
+        c = cons.bsh(cons.sehgp(REP3, REP3, REP3, REP3)).css
+    d = StabilizerModel.from_code(c).syndrome_map
+    rows = SupportMatcher.for_columns(f2.kernel_basis(d.T)).supports(4)
+    shape, digest = SCAN_SUPPORTS_4[family]
+    assert rows.shape == shape
+    assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def test_matcher_is_freed_without_the_cycle_collector():
@@ -617,12 +674,11 @@ def test_matcher_is_freed_without_the_cycle_collector():
     try:
         matcher = SupportMatcher(entries)
         # a miss on a bit that no entry holds builds the bit index, and
-        # weight 5 joins pairs of pairs, so the probe index is built
+        # its weight-1 lookup the entry table
         assert matcher.find_min(1 << 12, 4) == (None, None)
         assert len(matcher.supports(5))
-        assert matcher._table(2)._offsets is not None
-        alive = [weakref.ref(matcher), weakref.ref(matcher._table(2))] + [
-            weakref.ref(a) for a in matcher._bits()[:4]]
+        alive = [weakref.ref(a) for a in (matcher, matcher._entry_table(),
+                                          *matcher._bits()[:4])]
         del matcher
         assert [ref() for ref in alive] == [None] * 6
     finally:
