@@ -3,9 +3,9 @@
 Submodules:
     f2              dense GF(2) linear algebra
     matio           alist matrix interchange format
-    complexes       chain complexes, graded tensor products, Betti numbers
-    classical       classical codes, direct products, stock constructions
-    css             the one stabilizer code type, parameters, Tanner decomposition
+    complexes       chain complexes and their graded tensor product
+    classical       classical codes, repetition codes, the support search
+    css             the one stabilizer code type, k, distance, alist bundles
     constructions   HGP, SEHGP, BSH, SSH/BSSH, RSH/BRSH, 3D XZZX builders, distance
     soundness       reduced weights, soundness scans, single-shot trials
     noisesim        biased Pauli sampling and the experiment harness

@@ -281,11 +281,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p, sub
 
 
+# built once per process; a --config call builds its own, because it sets
+# defaults and lifts required flags on the parser it uses
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, sub = _build_parser()
+    parser, sub = _PARSER
     cfg = {}
     if "--config" in argv:
+        parser, sub = _build_parser()
         i = argv.index("--config") + 1
         try:
             if i == len(argv):

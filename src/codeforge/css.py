@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,52 +30,6 @@ class CommutationBrokenError(CssValidationError):
 
 class NoLogicalsError(ValueError):
     """Raised when a distance is requested for a k = 0 code."""
-
-
-@dataclass
-class PauliError:
-    """Binary-pair representation of a Pauli operator.
-
-    Y on qubit i sets both ex[i] and ez[i]; weight counts qubits where
-    either bit is set.
-    """
-
-    ex: np.ndarray
-    ez: np.ndarray
-
-    def __post_init__(self):
-        self.ex = f2.as_f2_vector(self.ex)
-        self.ez = f2.as_f2_vector(self.ez)
-        if self.ex.shape != self.ez.shape:
-            raise ValueError("ex and ez lengths differ")
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliError":
-        return cls(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
-
-    @classmethod
-    def single(cls, n: int, qubit: int, pauli: str) -> "PauliError":
-        """Weight-1 error: pauli in {'X', 'Y', 'Z'} on the given qubit."""
-        e = cls.identity(n)
-        if pauli in ("X", "Y"):
-            e.ex[qubit] = 1
-        if pauli in ("Z", "Y"):
-            e.ez[qubit] = 1
-        if pauli not in ("X", "Y", "Z"):
-            raise ValueError(f"unknown Pauli {pauli!r}")
-        return e
-
-    def __mul__(self, other: "PauliError") -> "PauliError":
-        """Group product (phases dropped): bitwise XOR of both sectors."""
-        return PauliError(self.ex ^ other.ex, self.ez ^ other.ez)
-
-    @property
-    def n(self) -> int:
-        return self.ex.shape[0]
-
-    @property
-    def weight(self) -> int:
-        return int(np.count_nonzero(self.ex | self.ez))
 
 
 class CssCode:

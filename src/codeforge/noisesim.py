@@ -15,7 +15,6 @@ import numpy as np
 
 from . import f2
 from .classical import LowerBound
-from .css import PauliError
 from .soundness import StabilizerModel, decode_residual, quarter_square
 
 
@@ -81,8 +80,9 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, trial]))
 
 
-def sample_error(model: NoiseModel, n: int, rng) -> PauliError:
-    """I.i.d. per-qubit draw from the channel.
+def sample_error(model: NoiseModel, n: int, rng) -> np.ndarray:
+    """I.i.d. per-qubit draw from the channel, as one (ex | ez) vector of
+    length 2n: e[i] is the X bit and e[n + i] the Z bit of qubit i.
 
     Args:
         model: Channel rates.
@@ -92,7 +92,7 @@ def sample_error(model: NoiseModel, n: int, rng) -> PauliError:
     u = rng.random(n)
     ex = (u < model.px + model.py).astype(np.uint8)
     ez = ((u >= model.px) & (u < model.p)).astype(np.uint8)
-    return PauliError(ex, ez)
+    return np.concatenate([ex, ez])
 
 
 def sample_flips(q: float, m: int, rng) -> np.ndarray:
@@ -163,8 +163,9 @@ def run_experiment(code, model: NoiseModel, trials: int, seed: int,
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         e = sample_error(model, sm.n, rng)
+        ex, ez = e[:sm.n], e[sm.n:]
         u = sample_flips(model.q_meas, sm.m, rng)
-        uw = int(f2.weight(u))
+        uw = f2.weight(u)
         residual = decode_residual(sm, e, u, budget)
         if residual is None:
             rw, passed, logical = LowerBound(budget), False, False
@@ -172,15 +173,14 @@ def run_experiment(code, model: NoiseModel, trials: int, seed: int,
             rw = sm.reduced_weight(residual, budget)
             passed = (not isinstance(rw, LowerBound)
                       and Fraction(rw) <= f(2 * uw))
-            logical = (not sm.syndrome(residual).any()
-                       and not sm.is_stabilizer(residual))
+            # a LowerBound is never 0: only a stabilizer reduces to 0
+            logical = not sm.syndrome(residual).any() and rw != 0
         regime = False
         if regime_p is not None and regime_q is not None:
             regime = (Fraction(uw) < regime_p
-                      and f(2 * uw) + e.weight < regime_q)
-        records.append(TrialRecord(trial, int(f2.weight(e.ex)),
-                                   int(f2.weight(e.ez)), uw, rw, logical,
-                                   regime))
+                      and f(2 * uw) + f2.weight(ex | ez) < regime_q)
+        records.append(TrialRecord(trial, f2.weight(ex), f2.weight(ez), uw,
+                                   rw, logical, regime))
         failures += logical
         if regime:
             in_regime_total += 1

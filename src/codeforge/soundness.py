@@ -29,7 +29,6 @@ import numpy as np
 
 from . import f2
 from .classical import LowerBound, SupportMatcher
-from .css import PauliError
 
 
 def quarter_square(x: int) -> Fraction:
@@ -67,17 +66,17 @@ def _pack_vec(v: np.ndarray) -> int:
 class StabilizerModel:
     """Uniform symplectic view of a stabilizer code for decoding.
 
-    Each measured check i has an X part and a Z part (one of them zero for
-    ordinary CSS rows); its outcome on error (ex, ez) is
-    xpart_i . ez + zpart_i . ex.  Lazily cached:
+    A Pauli error is one uint8 vector (ex | ez) of length 2n: e[q] is
+    the X bit and e[n + q] the Z bit of qubit q, so Y sets both.  Check
+    i has an X part and a Z part (one of them zero for ordinary CSS
+    rows); its outcome on e is xpart_i . ez + zpart_i . ex, one row of
+    the syndrome map [zpart | xpart].  Lazily cached:
 
       * coset membership matrix (annihilator of the generator rows), used
-        for reduced weights and logical detection;
+        for reduced weights;
       * the Pauli column matcher of the syndrome map, for data decoding;
       * the valid-syndrome annihilator, the numeric stand-in for the
         syndrome-check matrices, for syndrome repair.
-
-    The syndrome map [zpart | xpart] acts on errors written as (ex | ez).
     """
 
     def __init__(self, xpart, zpart):
@@ -96,8 +95,8 @@ class StabilizerModel:
         """Build from a CssCode or any object with stab_x/stab_z sides."""
         return cls(code.stab_x, code.stab_z)
 
-    def syndrome(self, e: PauliError) -> np.ndarray:
-        return f2.mat_vec(self.xpart, e.ez) ^ f2.mat_vec(self.zpart, e.ex)
+    def syndrome(self, e: np.ndarray) -> np.ndarray:
+        return f2.mat_vec(self.syndrome_map, e)
 
     # generator rows in (ex | ez) coordinates: multiplying a stabilizer
     # into an error XORs its X part into ex and its Z part into ez
@@ -126,33 +125,30 @@ class StabilizerModel:
             self._meta = (ann, SupportMatcher.for_columns(ann))
         return self._meta
 
-    def is_stabilizer(self, e: PauliError) -> bool:
-        member, _ = self._coset_tools()
-        vec = np.concatenate([e.ex, e.ez])
-        return not f2.mat_vec(member, vec).any()
-
-    def reduced_weight(self, e: PauliError, budget: int = 4):
+    def reduced_weight(self, e: np.ndarray, budget: int = 4):
         """Minimum Pauli weight over the stabilizer coset of e.
 
         Weight-ordered search: a coset element of weight w exists iff some
         w qubits carry Paulis whose membership columns XOR to the class
-        label of e.  Exact when found within budget, else a lower bound.
+        label of e.  Exact when found within budget, else a lower bound;
+        0 exactly when e is a stabilizer.
         """
         member, matcher = self._coset_tools()
-        target = _pack_vec(f2.mat_vec(member, np.concatenate([e.ex, e.ez])))
+        target = _pack_vec(f2.mat_vec(member, e))
         w, _ = matcher.find_min(target, budget)
         return LowerBound(budget) if w is None else w
 
     def min_weight_decode(self, s: np.ndarray, budget: int = 4):
-        """Minimum-weight Pauli error with the given syndrome, or None."""
+        """Minimum-weight error (ex | ez) with syndrome s, or None."""
         matcher = self._decode_tools()
         w, supp = matcher.find_min(_pack_vec(s), budget)
         if w is None:
             return None
-        e = PauliError.identity(self.n)
+        # rows ex and ez; X and Y set the X bit, Z and Y the Z bit
+        e = np.zeros((2, self.n), dtype=np.uint8)
         for q, p in supp:
-            e = e * PauliError.single(self.n, q, p)
-        return e
+            e[:, q] = (p != "Z", p != "X")
+        return e.ravel()
 
     def repair_syndrome(self, s: np.ndarray, budget: int = 4):
         """Minimum outcome flips making s achievable: (repaired, u_hat)."""
@@ -281,10 +277,11 @@ def inheritance_check(d, n: int, t: int, f=quarter_square) -> SoundnessReport:
     return merged
 
 
-def decode_residual(model: StabilizerModel, e: PauliError, u: np.ndarray,
+def decode_residual(model: StabilizerModel, e: np.ndarray, u: np.ndarray,
                     budget: int = 4):
-    """Residual error e * e_hat of the two-stage decoder, or None when a
-    repair or decode search exhausts its budget."""
+    """Residual error e ^ e_hat of the two-stage decoder, or None when a
+    repair or decode search exhausts its budget.  e, e_hat and the
+    residual are (ex | ez) vectors of length 2n; u flips the outcomes."""
     observed = model.syndrome(e) ^ f2.as_f2_vector(u)
     repaired, _ = model.repair_syndrome(observed, budget)
     if repaired is None:
@@ -292,4 +289,4 @@ def decode_residual(model: StabilizerModel, e: PauliError, u: np.ndarray,
     e_hat = model.min_weight_decode(repaired, budget)
     if e_hat is None:
         return None
-    return e * e_hat
+    return e ^ e_hat

@@ -35,6 +35,25 @@ def _tanner_components(m):
     return list(groups.values())
 
 
+def _pauli(n, qubit, p):
+    """Weight-1 error on n qubits as an (ex | ez) vector: p in {'X', 'Y',
+    'Z'} on the given qubit; Y sets both bits."""
+    if p not in ("X", "Y", "Z"):
+        raise ValueError(f"unknown Pauli {p!r}")
+    e = np.zeros(2 * n, dtype=np.uint8)
+    if p != "Z":
+        e[qubit] = 1
+    if p != "X":
+        e[n + qubit] = 1
+    return e
+
+
+def _pauli_weight(e):
+    """Qubits on which the (ex | ez) vector e acts: X, Y or Z."""
+    n = len(e) // 2
+    return int(np.count_nonzero(e[:n] | e[n:]))
+
+
 def _single_shot_trial(model, e, u, budget=4):
     """One noisy-readout decode: (residual reduced weight, bound met).
 
@@ -171,6 +190,16 @@ def _first_support(matcher, target, weight, start=0):
 @pytest.fixture
 def tanner_components():
     return _tanner_components
+
+
+@pytest.fixture(scope="session")
+def pauli():
+    return _pauli
+
+
+@pytest.fixture(scope="session")
+def pauli_weight():
+    return _pauli_weight
 
 
 @pytest.fixture

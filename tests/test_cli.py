@@ -319,6 +319,20 @@ def test_config_file_defaults(tmp_path, capsys):
     assert m["seed"] == 11
 
 
+def test_config_defaults_do_not_leak_into_later_calls(tmp_path, capsys):
+    # plain calls share one parser; a --config call must not set its
+    # defaults on it
+    cfg = tmp_path / "forge.cfg"
+    cfg.write_text("seed = 11\n")
+    code, _, err = run(capsys, "--config", str(cfg), "build", "--family",
+                       "hgp", "--base", "rep:2", "--out",
+                       str(tmp_path / "with_cfg"))
+    assert code == 0, err
+    out = build_bundle(tmp_path, capsys, base="rep:2", name="plain")
+    m = json.loads((out / "run_manifest.json").read_text())
+    assert m["seed"] is None
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("familly = hgp\n")

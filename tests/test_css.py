@@ -7,24 +7,12 @@ import pytest
 
 from codeforge import classical, css, f2
 from codeforge.constructions import bssh, code_distance, hgp
-from codeforge.css import (CssCode, CssValidationError, NoLogicalsError,
-                           PauliError)
+from codeforge.css import CssCode, CssValidationError, NoLogicalsError
 
 
 def toric18():
     rep3 = classical.repetition_closed_loop(3)
     return hgp(rep3.h, rep3.h).css
-
-
-def test_pauli_single_and_weight():
-    y = PauliError.single(4, 2, "Y")
-    assert (y.ex == [0, 0, 1, 0]).all() and (y.ez == [0, 0, 1, 0]).all()
-    assert y.weight == 1
-    x = PauliError.single(4, 0, "X")
-    assert (x * y).weight == 2
-    assert (y * y).weight == 0
-    with pytest.raises(ValueError):
-        PauliError.single(4, 0, "W")
 
 
 def test_validate_hgp_output():

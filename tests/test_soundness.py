@@ -19,7 +19,7 @@ from codeforge import classical, complexes, f2
 from codeforge import constructions as cons
 from codeforge.classical import LowerBound
 from codeforge.complexes import ChainComplex
-from codeforge.css import CssCode, PauliError
+from codeforge.css import CssCode
 from codeforge.soundness import (F_BY_NAME, LemmaContradictionError,
                                  SoundnessReport, StabilizerModel,
                                  SupportMatcher,
@@ -691,10 +691,9 @@ def brute_reduced_weight(model, e):
     red, _ = f2.row_echelon(gens.copy())
     rows = red[red.any(axis=1)]
     n = model.n
-    target = np.concatenate([e.ex, e.ez])
     best = None
     for bits in itertools.product((0, 1), repeat=rows.shape[0]):
-        v = target.copy()
+        v = e.copy()
         for i, b in enumerate(bits):
             if b:
                 v ^= rows[i]
@@ -706,14 +705,13 @@ def brute_reduced_weight(model, e):
 def test_reduced_weight_stabilizer_row_is_zero():
     c = toric18()
     model = StabilizerModel.from_code(c)
-    e = PauliError(np.zeros(18, dtype=np.uint8), c.hz[0].copy())
+    e = np.concatenate([np.zeros(18, dtype=np.uint8), c.hz[0]])
     assert model.reduced_weight(e) == 0
-    assert model.is_stabilizer(e)
 
 
-def test_reduced_weight_single_z_on_toric():
+def test_reduced_weight_single_z_on_toric(pauli):
     c = toric18()
-    e = PauliError.single(18, 0, "Z")
+    e = pauli(18, 0, "Z")
     assert StabilizerModel.from_code(c).reduced_weight(e) == 1
 
 
@@ -721,29 +719,62 @@ def test_reduced_weight_ring_string_folds_back():
     # Z string covering all but one qubit of a Z-stabilizer ring is one
     # stabilizer product away from a single Z
     ring = CssCode(f2.zeros(0, 6), classical.repetition_closed_loop(6).h)
-    ez = np.ones(6, dtype=np.uint8)
-    ez[0] = 0
-    e = PauliError(np.zeros(6, dtype=np.uint8), ez)
+    e = np.zeros(12, dtype=np.uint8)
+    e[7:] = 1
     model = StabilizerModel.from_code(ring)
     assert model.reduced_weight(e) == 1
-    assert not model.is_stabilizer(e)
     # even-length strings are stabilizer products and vanish entirely
-    even = PauliError(np.zeros(6, dtype=np.uint8),
-                      np.array([0, 1, 1, 1, 1, 0], dtype=np.uint8))
+    even = np.zeros(12, dtype=np.uint8)
+    even[7:11] = 1
     assert model.reduced_weight(even) == 0
 
 
 @given(st.integers(0, 2 ** 30))
 @settings(max_examples=30, deadline=None)
-def test_reduced_weight_matches_span_enumeration(seed):
+def test_reduced_weight_matches_span_enumeration(pauli_weight, seed):
     rng = np.random.default_rng(seed)
     c = cons.hgp(REP2.h, REP2.h).css  # 8 qubits, 8 checks
     model = StabilizerModel.from_code(c)
-    e = PauliError(rng.integers(0, 2, 8, dtype=np.uint8),
-                   rng.integers(0, 2, 8, dtype=np.uint8))
+    e = rng.integers(0, 2, 16, dtype=np.uint8)
     got = model.reduced_weight(e, budget=8)
     assert got == brute_reduced_weight(model, e)
-    assert got <= e.weight
+    assert got <= pauli_weight(e)
+
+
+@pytest.mark.parametrize("code", [cons.hgp(REP2.h, REP2.h).css,
+                                  cons.bssh(REP2).css],
+                         ids=["hgp", "bssh"])
+@given(seed=st.integers(0, 2 ** 30), stabilizer=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_reduced_weight_is_zero_exactly_on_stabilizers(code, seed,
+                                                       stabilizer):
+    # hgp rep:2 keeps its X and Z checks in separate blocks; bssh rep:2
+    # pairs row i of hx with row i of hz into one stabilizer
+    model = StabilizerModel.from_code(code)
+    gens = model._gens()
+    rng = np.random.default_rng(seed)
+    if stabilizer:
+        pick = rng.integers(0, 2, gens.shape[0], dtype=np.uint8)
+        e = np.bitwise_xor.reduce(gens[pick.astype(bool)], axis=0,
+                                  initial=0).astype(np.uint8)
+    else:
+        e = rng.integers(0, 2, 2 * model.n, dtype=np.uint8)
+    in_span = bool(f2.RowSpaceTester(gens).contains_batch(e[None])[0])
+    assert (model.reduced_weight(e, budget=8) == 0) == in_span
+
+
+@pytest.mark.parametrize("p", ["X", "Y", "Z"])
+def test_min_weight_decode_single_paulis(pauli, pauli_weight, p):
+    model = StabilizerModel.from_code(cons.bssh(REP2))
+    n = model.n
+    e = pauli(n, 5, p)
+    # Y sets both bits, X and Z one each
+    assert (e[5], e[n + 5]) == (int(p != "Z"), int(p != "X"))
+    s = model.syndrome(e)
+    e_hat = model.min_weight_decode(s)
+    assert e_hat.shape == (2 * n,) and e_hat.dtype == np.uint8
+    assert pauli_weight(e_hat) == 1
+    assert (model.syndrome(e_hat) == s).all()
 
 
 def test_scan_product_complex_boundary_clean():
@@ -909,9 +940,9 @@ def test_model_syndrome_agrees_with_css_view():
     model = StabilizerModel.from_code(c)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        e = PauliError(rng.integers(0, 2, 18, dtype=np.uint8),
-                       rng.integers(0, 2, 18, dtype=np.uint8))
-        want = np.concatenate([f2.mat_vec(c.hx, e.ez), f2.mat_vec(c.hz, e.ex)])
+        e = rng.integers(0, 2, 36, dtype=np.uint8)
+        want = np.concatenate([f2.mat_vec(c.hx, e[18:]),
+                               f2.mat_vec(c.hz, e[:18])])
         assert (model.syndrome(e) == want).all()
 
 
@@ -920,10 +951,10 @@ def test_model_shape_mismatch():
         StabilizerModel(f2.zeros(2, 3), f2.zeros(2, 4))
 
 
-def test_repair_syndrome_identity_and_single_flip():
+def test_repair_syndrome_identity_and_single_flip(pauli):
     rot = cons.bssh(REP2)
     model = StabilizerModel.from_code(rot.css)
-    e = PauliError.single(model.n, 5, "Z")
+    e = pauli(model.n, 5, "Z")
     s = model.syndrome(e)
     repaired, u_hat = model.repair_syndrome(s)
     assert (repaired == s).all() and not u_hat.any()
@@ -938,18 +969,18 @@ def test_repair_syndrome_identity_and_single_flip():
 
 def test_single_shot_noiseless_identity(single_shot_trial):
     rot = cons.bssh(REP2)
-    e = PauliError.identity(rot.n)
+    e = np.zeros(2 * rot.n, dtype=np.uint8)
     u = np.zeros(rot.check_count(), dtype=np.uint8)
     rw, passed = single_shot_trial(StabilizerModel.from_code(rot), e, u)
     assert rw == 0 and passed
 
 
-def test_single_shot_weight1_error_clean_readout(single_shot_trial):
+def test_single_shot_weight1_error_clean_readout(single_shot_trial, pauli):
     rot = cons.bsh(cons.sehgp(REP2, REP2, REP2, REP2))
     model = StabilizerModel.from_code(rot)
     u = np.zeros(model.m, dtype=np.uint8)
-    for qubit, pauli in [(0, "X"), (40, "Z"), (90, "Y")]:
-        e = PauliError.single(rot.n, qubit, pauli)
+    for qubit, p in [(0, "X"), (40, "Z"), (90, "Y")]:
+        e = pauli(rot.n, qubit, p)
         rw, passed = single_shot_trial(model, e, u)
         assert rw == 0 and passed
 
@@ -957,7 +988,7 @@ def test_single_shot_weight1_error_clean_readout(single_shot_trial):
 def test_single_shot_one_flipped_outcome(single_shot_trial):
     rot = cons.bsh(cons.sehgp(REP2, REP2, REP2, REP2))
     model = StabilizerModel.from_code(rot)
-    e = PauliError.identity(rot.n)
+    e = np.zeros(2 * rot.n, dtype=np.uint8)
     for pos in (0, 50, 127):
         u = np.zeros(model.m, dtype=np.uint8)
         u[pos] = 1
