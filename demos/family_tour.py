@@ -5,30 +5,22 @@ Run from the repo root after `pip install -e .`:
 
     python3 demos/family_tour.py
 """
-from codeforge import classical
+from codeforge import classical, cli
 from codeforge import constructions as cons
 
 BASE = classical.repetition_closed_loop(2)
-
-
-def build_all():
-    bundle = cons.sehgp(BASE, BASE, BASE, BASE)
-    yield "hgp", cons.hgp(BASE.h, BASE.h), 2
-    yield "sehgp", bundle.tagged, 4
-    yield "bsh", cons.bsh(bundle), 4
-    yield "ssh", cons.ssh(BASE).tagged, 2
-    yield "bssh", cons.bssh(BASE), 2
-    yield "rsh1", cons.rsh(bundle, 1), 2
-    yield "rsh2", cons.rsh(bundle, 2), 2
-    yield "brsh1", cons.brsh(bundle, 1), 2
-    yield "xzzx3d", cons.xzzx3d(2), 2
+# (family, distance search cap) in table order
+TOUR = [("hgp", 2), ("sehgp", 4), ("bsh", 4), ("ssh", 2), ("bssh", 2),
+        ("rsh1", 2), ("rsh2", 2), ("brsh1", 2), ("xzzx3d", 2)]
 
 
 def main():
     print(f"{'family':8} {'n':>4} {'checks':>6} {'k':>4} {'d':>4}  notes")
-    for name, tagged, cap in build_all():
+    for name, cap in TOUR:
+        tagged = cli.build_family(name, BASE)
         tagged.validate()
-        n, k, d = tagged.params(cap)
+        n, k = tagged.n, tagged.logical_count()
+        d = cons.code_distance(tagged.css, cap, k)
         notes = []
         if tagged.paired:
             notes.append("XZZX-like rows")

@@ -97,17 +97,12 @@ def build_family(family: str, base: classical.ClassicalCode):
     if family == "xzzx3d":
         return cons.xzzx3d(base.n)
     if family in ("ssh", "bssh"):
-        bundle = cons.ssh(base)
-        return bundle.tagged if family == "ssh" else cons.bssh(base)
-    bundle = cons.sehgp(base, base, base, base)
-    if family == "sehgp":
-        return bundle.tagged
-    if family == "bsh":
-        return cons.bsh(bundle)
-    if family in ("rsh1", "rsh2"):
-        return cons.rsh(bundle, int(family[-1]))
-    if family in ("brsh1", "brsh2"):
-        return cons.brsh(bundle, int(family[-1]))
+        return getattr(cons, family)(base)
+    if family in ("sehgp", "bsh"):
+        return getattr(cons, family)(base, base, base, base)
+    if family in ("rsh1", "rsh2", "brsh1", "brsh2"):
+        return getattr(cons, family[:-1])(cons.sehgp(base, base, base, base),
+                                          int(family[-1]))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -121,7 +116,7 @@ def cmd_build(args, manifest: RunManifest) -> int:
     tagged.validate()
     params = {"n": tagged.n, "k": tagged.logical_count()}
     if args.max_weight:
-        d = tagged.distance(args.max_weight, params["k"])
+        d = cons.code_distance(code, args.max_weight, params["k"])
         params["d"] = css._jsonable(d)
     css.export_bundle(code, args.out,
                       extra={"family": args.family, "base": base_desc,

@@ -1,9 +1,10 @@
 """Block-matrix builders for every code family in the hierarchy:
 HGP, SEHGP, CPHR rotations, BSH, SSH/BSSH, RSH/BRSH, and the 3D XZZX code.
 
-Builders keep the construction structure in a banded, block-tagged form:
-each row band carries an X-part and a Z-part over the full qubit register,
-and the qubit register is split into tagged column blocks.
+Every builder returns one BlockTaggedCss, which keeps the construction
+structure in a banded, block-tagged form: each row band carries an X-part
+and a Z-part over the full qubit register, and the qubit register is
+split into tagged column blocks.
 Commutation-preserving Hadamard rotations (CPHR) swap the X- and Z-parts
 of one column block within chosen bands; after a swap a band may mix X and
 Z support, and the code is XZZX-like rather than CSS.  Every check, count
@@ -129,14 +130,6 @@ class BlockTaggedCss:
     def logical_count(self) -> int:
         return css.logical_count(self.css)
 
-    def distance(self, max_weight: int, k: int | None = None):
-        return code_distance(self.css, max_weight, k)
-
-    def params(self, max_weight: int):
-        """(n, k, d-or-flag) of the CssCode view."""
-        k = self.logical_count()
-        return self.n, k, self.distance(max_weight, k)
-
     def copy(self) -> "BlockTaggedCss":
         return BlockTaggedCss(self.family, [b.copy() for b in self.bands],
                               self.col_sizes, hsx=self.hsx, hsz=self.hsz,
@@ -145,28 +138,6 @@ class BlockTaggedCss:
     def __repr__(self):
         return (f"<BlockTaggedCss {self.family} n={self.n} "
                 f"bands={[b.rows for b in self.bands]} cols={self.col_sizes}>")
-
-
-@dataclass
-class SehgpBundle:
-    """A product complex together with its tagged stabilizer code.
-
-    Attributes:
-        q: The underlying chain complex (length 4 for SEHGP, 2 for SSH).
-        tagged: Banded stabilizer view.
-        base: Input classical codes.
-        j, k: The two length-2 factor complexes (SEHGP only).
-    """
-
-    q: ChainComplex
-    tagged: BlockTaggedCss
-    base: tuple
-    j: ChainComplex | None = None
-    k: ChainComplex | None = None
-
-    @property
-    def css(self) -> CssCode:
-        return self.tagged.css
 
 
 def length1(code: ClassicalCode) -> ChainComplex:
@@ -221,78 +192,61 @@ def hgp(h1, h2) -> BlockTaggedCss:
                           metadata={"inputs": [list(h1.shape), list(h2.shape)]})
 
 
-def _bands_from_boundaries(q: ChainComplex, deg_hi: int, deg_mid: int,
-                           deg_lo: int, jname: str, kname: str):
-    """Split d_{deg_hi}^T (Z bands) and d_{deg_lo+1} (X bands) of a product
-    complex by its component bookkeeping, with labels."""
-    col_comps = q.components[deg_mid]
-    col_sizes = [s for _, _, s in col_comps]
-    n = sum(col_sizes)
-    offs = np.cumsum([0] + col_sizes)
+def _bands(q: ChainComplex):
+    """The four row bands of the SEHGP code of q = J (x) K over its
+    degree-2 qubit blocks: Z bands are the degree-3 row blocks of d3^T,
+    X bands the degree-1 row blocks of d2, each labelled block by block."""
+    cells = q.components[2]
+    n = sum(s for _, _, s in cells)
+    bands = []
+    for z, m, rows in ((True, q.boundary(3).T, q.components[3]),
+                       (False, q.boundary(2), q.components[1])):
+        t = "T" if z else ""
+        r0 = 0
+        for i, j, size in rows:
+            labels = []
+            for a, b, _ in cells:
+                # the boundary component from cell (hi, hj) down to (lo, lj)
+                (hi, hj), (lo, lj) = ((i, j), (a, b)) if z else ((a, b), (i, j))
+                if (hi, hj) == (lo + 1, lj):
+                    labels.append(f"d{hi}{t}[J]@I")
+                elif (hi, hj) == (lo, lj + 1):
+                    labels.append(f"I@d{hj}{t}[K]")
+                else:
+                    labels.append("0")
+            part, empty = m[r0:r0 + size], f2.zeros(size, n)
+            zero = ["0"] * len(cells)
+            bands.append(Band(empty, part, zero, labels) if z
+                         else Band(part, empty, labels, zero))
+            r0 += size
+    return bands, [s for _, _, s in cells]
 
-    def block_label(src, dst, transposed):
-        (i, j), (a, b) = src, dst
-        if (a, b) == (i - 1, j):
-            return f"d{i}T[{jname}]@I" if transposed else f"d{i}[{jname}]@I"
-        if (a, b) == (i, j - 1):
-            return f"I@d{j}T[{kname}]" if transposed else f"I@d{j}[{kname}]"
-        return "0"
 
-    z_bands = []
-    dhi_t = q.boundary(deg_hi).T
-    r0 = 0
-    for (i, j, size) in q.components[deg_hi]:
-        m = dhi_t[r0:r0 + size]
-        labels = [block_label((i, j), (a, b), True) for a, b, _ in col_comps]
-        z_bands.append((m, labels))
-        r0 += size
-    x_bands = []
-    dlo = q.boundary(deg_mid)
-    r0 = 0
-    for (i, j, size) in q.components[deg_lo]:
-        m = dlo[r0:r0 + size]
-        # x band rows are degree deg_lo components; the block into column
-        # (a, b) is the boundary component mapping (a, b) down to (i, j)
-        labels = []
-        for a, b, _ in col_comps:
-            if (a - 1, b) == (i, j):
-                labels.append(f"d{a}[{jname}]@I")
-            elif (a, b - 1) == (i, j):
-                labels.append(f"I@d{b}[{kname}]")
-            else:
-                labels.append("0")
-        x_bands.append((m, labels))
-        r0 += size
-    zero_labels = ["0"] * len(col_comps)
-    bands = [Band(f2.zeros(m.shape[0], n), m, list(zero_labels), labels)
-             for m, labels in z_bands]
-    bands += [Band(m, f2.zeros(m.shape[0], n), labels, list(zero_labels))
-              for m, labels in x_bands]
-    return bands, col_sizes
+def _base_metadata(codes, fallback_names) -> dict:
+    """Base code names and the identical-code premise flag, with a warning
+    when some base code breaks the premise."""
+    premise = all(identical_code_premise(c) for c in codes)
+    meta = {"base": [c.name or f for c, f in zip(codes, fallback_names)],
+            "identical_code_premise": premise}
+    if not premise:
+        meta["warning"] = "identical-code premise violated; closed-form parameter identities not guaranteed"
+    return meta
 
 
 def sehgp(x: ClassicalCode, y: ClassicalCode, z: ClassicalCode,
-          w: ClassicalCode) -> SehgpBundle:
-    """Four classical codes -> length-4 product complex -> stabilizer code.
+          w: ClassicalCode) -> BlockTaggedCss:
+    """Four classical codes -> length-4 product complex
+    j_complex(x, y) (x) j_complex(z, w) -> stabilizer code.
 
     Qubits sit at degree 2; hz rows come from d3^T (two bands), hx rows
     from d2 (two bands).  With four identical closed-loop repetition
     inputs the counts are 6n^4 qubits, 8n^4 checks, 6k^4 logicals.
     """
-    jc = j_complex(x, y)
-    kc = j_complex(z, w)
-    q = tensor(jc, kc)
+    q = tensor(j_complex(x, y), j_complex(z, w))
     q.validate()
-    bands, col_sizes = _bands_from_boundaries(q, 3, 2, 1, "J", "K")
-    premise = all(identical_code_premise(c) for c in (x, y, z, w))
-    meta = {
-        "base": [c.name or f"code{idx}" for idx, c in enumerate((x, y, z, w))],
-        "identical_code_premise": premise,
-    }
-    if not premise:
-        meta["warning"] = "identical-code premise violated; closed-form parameter identities not guaranteed"
-    tagged = BlockTaggedCss("SEHGP", bands, col_sizes, metadata=meta)
-    return SehgpBundle(q=q, tagged=tagged, base=(x, y, z, w), j=jc, k=kc)
+    bands, col_sizes = _bands(q)
+    return BlockTaggedCss("SEHGP", bands, col_sizes, metadata=_base_metadata(
+        (x, y, z, w), [f"code{idx}" for idx in range(4)]))
 
 
 def cphr(c: BlockTaggedCss, kind: str, row_bands: tuple[int, int],
@@ -342,9 +296,12 @@ def cphr(c: BlockTaggedCss, kind: str, row_bands: tuple[int, int],
     return out
 
 
-def bsh(bundle: SehgpBundle) -> BlockTaggedCss:
-    """Bias-tailored code: both CPHR swaps on the middle qubit block, plus
-    the three-band disjoint syndrome-check matrices.
+def bsh(x: ClassicalCode, y: ClassicalCode, z: ClassicalCode,
+        w: ClassicalCode) -> BlockTaggedCss:
+    """Bias-tailored code of sehgp(x, y, z, w): both CPHR swaps on the
+    middle qubit block, plus the three-band disjoint syndrome-check
+    matrices built from the factor complexes J = j_complex(x, y) and
+    K = j_complex(z, w).
 
     The T2 swap rotates bands 2 and 3, the T1 swap bands 1 and 4, all in
     the big middle column block.  Each syndrome-check band is the next
@@ -354,14 +311,13 @@ def bsh(bundle: SehgpBundle) -> BlockTaggedCss:
     """
     # the two swaps jointly rotate every band's middle block; only the
     # composite is a qubit-local basis change, so validation waits for it
-    c = cphr(bundle.tagged, "T2", (2, 3), 2, validate=False)
+    c = cphr(sehgp(x, y, z, w), "T2", (2, 3), 2, validate=False)
     c = cphr(c, "T1", (1, 4), 2)
     c.family = "BSH"
-    jc, kc = bundle.j, bundle.k
+    jc, kc = j_complex(x, y), j_complex(z, w)
     d1j, d2j = jc.boundary(1), jc.boundary(2)
     d1k, d2k = kc.boundary(1), kc.boundary(2)
-    ij0, ij1, ij2 = (f2.identity(jc.dim(0)), f2.identity(jc.dim(1)),
-                     f2.identity(jc.dim(2)))
+    ij0, ij2 = f2.identity(jc.dim(0)), f2.identity(jc.dim(2))
     ik0, ik2 = f2.identity(kc.dim(0)), f2.identity(kc.dim(2))
     # X-side syndromes: bands 1+2 are the image of one product-complex
     # boundary (checked jointly), bands 3 and 4 are single-factor images.
@@ -394,7 +350,7 @@ def bsh(bundle: SehgpBundle) -> BlockTaggedCss:
     return c
 
 
-def ssh(base: ClassicalCode) -> SehgpBundle:
+def ssh(base: ClassicalCode) -> BlockTaggedCss:
     """Slimmed product code on 5n^4 qubits from a single base code.
 
     Forms the length-2 product complex J of the base with itself, then the
@@ -417,15 +373,10 @@ def ssh(base: ClassicalCode) -> SehgpBundle:
         Band(f2.block_compose([hx_blocks]), f2.zeros(m1 * n2, n),
              ["I@d1[J]", "d2[J]@I"], ["0", "0"]),
     ]
-    premise = identical_code_premise(base)
-    meta = {"base": [base.name or "base"], "identical_code_premise": premise}
-    if not premise:
-        meta["warning"] = "identical-code premise violated; closed-form parameter identities not guaranteed"
-    tagged = BlockTaggedCss("SSH", bands, col_sizes, metadata=meta)
-    c = tagged.css
-    q = ChainComplex([c.hz.T.copy(), c.hx])
-    q.validate()
-    return SehgpBundle(q=q, tagged=tagged, base=(base,), j=jc, k=None)
+    out = BlockTaggedCss("SSH", bands, col_sizes,
+                         metadata=_base_metadata((base,), ["base"]))
+    out.validate()
+    return out
 
 
 def bssh(base: ClassicalCode) -> BlockTaggedCss:
@@ -437,10 +388,9 @@ def bssh(base: ClassicalCode) -> BlockTaggedCss:
     per-block outcome is recorded in metadata and validation relaxes the
     annihilation requirement accordingly.
     """
-    bundle = ssh(base)
-    c = cphr(bundle.tagged, "T2", (1, 2), 2)
+    c = cphr(ssh(base), "T2", (1, 2), 2)
     c.family = "BSSH"
-    jc = bundle.j
+    jc = j_complex(base, base)
     d1j, d2j = jc.boundary(1), jc.boundary(2)
     i_n = f2.identity(jc.dim(2))
     hs_block = f2.kron(i_n, d2j.T)
@@ -465,8 +415,8 @@ def bssh(base: ClassicalCode) -> BlockTaggedCss:
     return c
 
 
-def rsh(bundle: SehgpBundle, which: int) -> BlockTaggedCss:
-    """Two-band truncation of the four-band code to 5n^4 qubits.
+def rsh(src: BlockTaggedCss, which: int) -> BlockTaggedCss:
+    """Two-band truncation of the four-band SEHGP code src to 5n^4 qubits.
 
     which=1 keeps the (bit-bit, middle) qubit blocks with the X band
     [I@d2[K], d1[J]@I] and Z band [d1T[J]@I, I@d2T[K]]; which=2 keeps the
@@ -477,7 +427,6 @@ def rsh(bundle: SehgpBundle, which: int) -> BlockTaggedCss:
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    src = bundle.tagged
     offs = src.col_offsets
     if which == 1:
         cols = slice(offs[0], offs[2])
@@ -508,9 +457,9 @@ def rsh(bundle: SehgpBundle, which: int) -> BlockTaggedCss:
     return tagged
 
 
-def brsh(bundle: SehgpBundle, which: int) -> BlockTaggedCss:
-    """T2 rotation of the truncated code on its big middle column block."""
-    c = rsh(bundle, which)
+def brsh(src: BlockTaggedCss, which: int) -> BlockTaggedCss:
+    """T2 rotation of rsh(src, which) on its big middle column block."""
+    c = rsh(src, which)
     big = 2 if which == 1 else 1
     out = cphr(c, "T2", (1, 2), big)
     out.family = f"BRSH{which}"

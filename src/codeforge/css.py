@@ -180,18 +180,19 @@ def export_bundle(c: CssCode, outdir, extra: dict | None = None) -> None:
 
 
 def load_bundle(indir) -> CssCode:
-    """Read a bundle written by export_bundle."""
+    """Read a bundle written by export_bundle: exactly the alist files its
+    manifest lists, so files left over in the directory are ignored."""
     with open(os.path.join(indir, "manifest.json")) as fh:
         manifest = json.load(fh)
-
-    def opt(name):
-        path = os.path.join(indir, f"{name}.alist")
-        return matio.read_alist(path) if os.path.exists(path) else None
-
-    return CssCode(matio.read_alist(os.path.join(indir, "hx.alist")),
-                   matio.read_alist(os.path.join(indir, "hz.alist")),
-                   hsx=opt("hsx"), hsz=opt("hsz"),
-                   metadata=manifest.get("metadata", {}))
+    files = manifest.get("files")
+    if not (isinstance(files, list)
+            and "hx.alist" in files and "hz.alist" in files):
+        raise ValueError(f"{indir}: manifest.json does not list the bundle's "
+                         "files (hx.alist and hz.alist at least)")
+    mats = {name: matio.read_alist(os.path.join(indir, f"{name}.alist"))
+            for name in ("hx", "hz", "hsx", "hsz") if f"{name}.alist" in files}
+    return CssCode(mats["hx"], mats["hz"], hsx=mats.get("hsx"),
+                   hsz=mats.get("hsz"), metadata=manifest.get("metadata", {}))
 
 
 def _jsonable(obj):

@@ -43,10 +43,16 @@ def _checked(a: np.ndarray) -> np.ndarray:
 
 
 def as_f2_vector(v) -> np.ndarray:
-    """Coerce array-like input to a 1-D uint8 vector with entries in {0, 1}."""
-    a = np.ascontiguousarray(np.asarray(v, dtype=np.uint8)) % 2
+    """Coerce array-like input to a 1-D uint8 vector with entries in {0, 1}.
+
+    Raises:
+        ValueError: if the input is not 1-D or has entries outside {0, 1}.
+    """
+    a = np.ascontiguousarray(np.asarray(v, dtype=np.uint8))
     if a.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got ndim={a.ndim}")
+    if a.size and a.max() > 1:
+        raise ValueError("vector entries must be 0 or 1")
     return a
 
 

@@ -70,7 +70,8 @@ def test_criterion_02_hgp_sanity():
     t = cons.hgp(REP3.h, REP3.h)
     c = t.css
     verdict(2, [
-        ("params [[18,2,3]]", t.params(3) == (18, 2, 3)),
+        ("params [[18,2,3]]",
+         (t.n, t.logical_count(), cons.code_distance(c, 3)) == (18, 2, 3)),
         ("XZ^T = 0", not f2.mat_mul(c.hx, c.hz.T).any()),
     ])
 
@@ -91,38 +92,41 @@ def hgp_law(h1, h2, distance):
     return k1 * k2 + k1t * k2t, min(dists)
 
 
-def sehgp_witness(bundle):
-    """A logical of the J2 (x) K0 column block: the all-ones vector of
-    ker d2[J] tensored with one unit vector of K0.  Its weight is dim J2."""
-    t = bundle.tagged
-    block = [(i, j) for i, j, _ in bundle.q.components[2]].index((2, 0))
-    unit = np.zeros(bundle.k.dim(0), dtype=np.uint8)
+def sehgp_witness(base):
+    """A logical of the J2 (x) K0 column block of sehgp(base x 4): the
+    all-ones vector of ker d2[J] tensored with one unit vector of K0.  Its
+    weight is dim J2."""
+    t = cons.sehgp(base, base, base, base)
+    j, k = cons.j_complex(base, base), cons.j_complex(base, base)
+    block = [(a, b) for a, b, _ in complexes.tensor(j, k).components[2]].index((2, 0))
+    unit = np.zeros(k.dim(0), dtype=np.uint8)
     unit[0] = 1
     v = np.zeros(t.n, dtype=np.uint8)
     v[t.col_offsets[block]:t.col_offsets[block + 1]] = np.kron(
-        np.ones(bundle.j.dim(2), dtype=np.uint8), unit)
+        np.ones(j.dim(2), dtype=np.uint8), unit)
     return v
 
 
 def test_criterion_03_sehgp_counts(brute_distance):
     # four closed-loop rings give the 4D toric code, whose distance is the
     # square of the ring distance
-    t2 = cons.sehgp(REP2, REP2, REP2, REP2).tagged
-    b3 = cons.sehgp(REP3, REP3, REP3, REP3)
-    t3, c3 = b3.tagged, b3.css
+    t2 = cons.sehgp(REP2, REP2, REP2, REP2)
+    t3 = cons.sehgp(REP3, REP3, REP3, REP3)
+    c3 = t3.css
     d2 = brute_distance(REP2.h) ** 2
     d3 = brute_distance(REP3.h) ** 2
-    w3 = sehgp_witness(b3)
+    w3 = sehgp_witness(REP3)
     verdict(3, [
         ("rep(2): 96 qubits", t2.n == 96),
         ("rep(2): 128 checks", t2.check_count() == 128),
         ("rep(2): k=6", t2.logical_count() == 6),
-        (f"rep(2): d={d2} by weight-<={d2} search", t2.distance(d2) == d2),
+        (f"rep(2): d={d2} by weight-<={d2} search",
+         cons.code_distance(t2.css, d2) == d2),
         ("rep(3): 486 qubits", t3.n == 486),
         ("rep(3): 648 checks", t3.check_count() == 648),
         ("rep(3): k=6", t3.logical_count() == 6),
         ("rep(3): no logical of weight <= 4",
-         isinstance(t3.distance(4), LowerBound)),
+         isinstance(cons.code_distance(c3, 4), LowerBound)),
         (f"rep(3): weight-{d3} logical witness",
          f2.weight(w3) == d3 and not f2.mat_vec(c3.hx, w3).any()
          and not f2.RowSpaceTester(c3.hz).contains_batch([w3])[0]),
@@ -130,9 +134,8 @@ def test_criterion_03_sehgp_counts(brute_distance):
 
 
 def test_criterion_04_cphr_validity(tagged_equals):
-    b = cons.sehgp(REP2, REP2, REP2, REP2)
-    t = b.tagged
-    rot = cons.bsh(b)
+    t = cons.sehgp(REP2, REP2, REP2, REP2)
+    rot = cons.bsh(REP2, REP2, REP2, REP2)
     rot.validate()
     half = cons.cphr(t, "T2", (2, 3), 2, validate=False)
     undone = cons.cphr(half, "T2", (2, 3), 2, validate=False)
@@ -141,23 +144,24 @@ def test_criterion_04_cphr_validity(tagged_equals):
         ("n unchanged", rot.n == t.n),
         ("k unchanged", rot.logical_count() == t.logical_count()),
         ("d unchanged",
-         cons.pauli_distance(rot.stab_x, rot.stab_z, 4) == t.distance(4) == 4),
+         cons.pauli_distance(rot.stab_x, rot.stab_z, 4)
+         == cons.code_distance(t.css, 4) == 4),
         ("same swap twice restores input", tagged_equals(undone, t)),
     ])
 
 
 def test_criterion_05_ssh_bssh(brute_distance):
-    b = cons.ssh(REP2)
-    t = b.tagged
+    t = cons.ssh(REP2)
     rot = cons.bssh(REP2)
     # SSH is documented as the hypergraph product of d2[J] and d1[J]^T
-    k, _ = hgp_law(b.j.boundary(2), b.j.boundary(1).T, brute_distance)
+    j = cons.j_complex(REP2, REP2)
+    k, _ = hgp_law(j.boundary(2), j.boundary(1).T, brute_distance)
     verdict(5, [
         ("80 qubits", t.n == 80),
         ("64 checks", t.check_count() == 64),
         ("k >= n - checks", t.logical_count() >= t.n - t.check_count()),
         (f"k={k} by the HGP law", t.logical_count() == k),
-        ("d=4 by weight-<=4 search", t.distance(4) == 4),
+        ("d=4 by weight-<=4 search", cons.code_distance(t.css, 4) == 4),
         ("BSSH d(h_sz)=2 = min base distance",
          rot.metadata["d_s"] == 2 == brute_distance(REP2.h)),
     ])
@@ -166,8 +170,9 @@ def test_criterion_05_ssh_bssh(brute_distance):
 def test_criterion_06_rsh_brsh(brute_distance, brute_betti):
     checks = []
     b = cons.sehgp(REP2, REP2, REP2, REP2)
-    d1j, d2j = b.j.boundary(1), b.j.boundary(2)
-    d1k, d2k = b.k.boundary(1), b.k.boundary(2)
+    j, k = cons.j_complex(REP2, REP2), cons.j_complex(REP2, REP2)
+    d1j, d2j = j.boundary(1), j.boundary(2)
+    d1k, d2k = k.boundary(1), k.boundary(2)
     # rsh1 is the product of d1[J] with d2[K], rsh2 of d2[J] with d1[K]
     for which, (hj, hk) in ((1, (d1j, d2k)), (2, (d2j, d1k))):
         t = cons.rsh(b, which)
@@ -182,7 +187,8 @@ def test_criterion_06_rsh_brsh(brute_distance, brute_betti):
              t.logical_count() >= t.n - t.check_count()),
             (f"rsh{which}: k={k} by the HGP law and Kunneth",
              t.logical_count() == k == kunneth),
-            (f"rsh{which}: d={d} by the HGP law", t.distance(d) == d),
+            (f"rsh{which}: d={d} by the HGP law",
+             cons.code_distance(c, d) == d),
             (f"rsh{which}: h_rs annihilates",
              not f2.mat_mul(t.hsx, c.hx).any()
              and not f2.mat_mul(t.hsz, c.hz).any()),
@@ -197,7 +203,7 @@ def test_criterion_07_xzzx3d(brute_distance, tagged_equals):
     x = cons.xzzx3d(2)
     # the rotation and relabelling are qubit-local, so k is that of the
     # unrotated slim product
-    j = cons.ssh(REP2).j
+    j = cons.j_complex(REP2, REP2)
     k, _ = hgp_law(j.boundary(2), j.boundary(1).T, brute_distance)
     verdict(7, [
         ("bit-exact equal to the rotated slim product",
@@ -213,10 +219,12 @@ def test_criterion_08_soundness_scans():
     j = complexes.tensor(ChainComplex([REP3.h]), ChainComplex([REP3.h]))
     lemma = all(soundness_scan(d, t=3, f=quarter_square).clean
                 for d in (j.boundary(2), j.boundary(1).T.copy()))
-    b = cons.sehgp(REP2, REP2, REP2, REP2)
-    comp = soundness_scan(f2.block_compose([[b.q.boundary(2), None],
-                                            [None, b.q.boundary(3).T.copy()]]),
+    q = complexes.tensor(cons.j_complex(REP2, REP2),
+                         cons.j_complex(REP2, REP2))
+    comp = soundness_scan(f2.block_compose([[q.boundary(2), None],
+                                            [None, q.boundary(3).T.copy()]]),
                           t=2, f=quarter_square).clean
+    b = cons.sehgp(REP2, REP2, REP2, REP2)
     cubic = []
     for which in (1, 2):
         c = cons.rsh(b, which).css
@@ -231,7 +239,7 @@ def test_criterion_08_soundness_scans():
 
 def test_criterion_09_single_shot_patterns(single_shot_trial, pauli,
                                            pauli_weight):
-    rot = cons.bsh(cons.sehgp(REP3, REP3, REP3, REP3))
+    rot = cons.bsh(REP3, REP3, REP3, REP3)
     model = StabilizerModel.from_code(rot)
     p = Fraction(min(rot.metadata["d_s"], 3), 2)
     q = Fraction(3, 2)  # claimed distance 3 halved
@@ -265,7 +273,7 @@ def test_criterion_09_single_shot_patterns(single_shot_trial, pauli,
 def test_criterion_10_bias_decomposition(tanner_components):
     checks = []
     for base in (REP2, REP3):
-        slim = cons.ssh(base).tagged.css
+        slim = cons.ssh(base).css
         rot = cons.bssh(base).css
         before = len(tanner_components(slim.hx))
         after = len(tanner_components(rot.hx))

@@ -235,6 +235,47 @@ def test_export_roundtrip_byte_identical(tmp_path, capsys):
         assert (out / name).read_bytes() == (two / name).read_bytes()
 
 
+@pytest.mark.parametrize("first, second", [("bsh", "sehgp"),
+                                           ("bssh", "ssh")])
+def test_rebuild_over_another_bundle_reads_only_listed_files(
+        tmp_path, capsys, first, second):
+    # the first build leaves hsx.alist and hsz.alist behind; the second
+    # bundle's manifest does not list them, so nothing reads them
+    out = build_bundle(tmp_path, capsys, family=first, base="rep:2")
+    build_bundle(tmp_path, capsys, family=second, base="rep:2")
+    assert (out / "hsx.alist").exists()
+    code, stdout, err = run(capsys, "verify", "--code", str(out))
+    assert (code, err) == (0, ""), err
+    assert stdout.startswith("ok: ")
+    loaded = css.load_bundle(out)
+    assert loaded.hsx is None and loaded.hsz is None
+    two = tmp_path / "two"
+    code, _, _ = run(capsys, "export", "--code", str(out), "--out", str(two))
+    assert code == 0
+    assert not (two / "hsx.alist").exists()
+    assert not (two / "hsz.alist").exists()
+
+
+@pytest.mark.parametrize("files", [None, "hx.alist", ["hx.alist"]])
+def test_manifest_without_files_list_is_one_error_line(tmp_path, capsys,
+                                                       files):
+    out = build_bundle(tmp_path, capsys, base="rep:2")
+    mpath = out / "manifest.json"
+    m = json.loads(mpath.read_text())
+    if files is None:
+        del m["files"]
+    else:
+        m["files"] = files
+    mpath.write_text(json.dumps(m))
+    for argv in (["verify"], ["params"], ["export", "--out",
+                                          str(tmp_path / "e")]):
+        code, out_text, err = run(capsys, argv[0], "--code", str(out),
+                                  *argv[1:])
+        assert code == 1 and out_text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "files" in err
+
+
 def test_soundness_csv_schema(tmp_path, capsys):
     out = build_bundle(tmp_path, capsys, family="rsh1", base="rep:2")
     report = tmp_path / "scan.csv"

@@ -1,5 +1,6 @@
 """Code family builders: HGP, SEHGP, CPHR rotations, BSH, SSH/BSSH,
 RSH/BRSH and the 3D XZZX instance."""
+import hashlib
 import itertools
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from codeforge import classical, css, f2
 from codeforge import constructions as cons
 from codeforge.classical import LowerBound
+from codeforge.complexes import tensor
 
 REP2 = classical.repetition_closed_loop(2)
 REP3 = classical.repetition_closed_loop(3)
@@ -22,12 +24,13 @@ def sehgp2():
 def test_hgp_rep3():
     t = cons.hgp(REP3.h, REP3.h)
     t.validate()
-    assert t.params(3) == (18, 2, 3)
+    assert (t.n, t.logical_count(), cons.code_distance(t.css, 3)) == (18, 2, 3)
     assert not f2.mat_mul(t.css.hx, t.css.hz.T).any()
 
 
 def test_hgp_rep2():
-    assert cons.hgp(REP2.h, REP2.h).params(2) == (8, 2, 2)
+    t = cons.hgp(REP2.h, REP2.h)
+    assert (t.n, t.logical_count(), cons.code_distance(t.css, 2)) == (8, 2, 2)
 
 
 def test_hgp_empty_factor():
@@ -37,9 +40,8 @@ def test_hgp_empty_factor():
 
 
 def test_sehgp_rep2_counts():
-    b = sehgp2()
-    b.q.validate()
-    t = b.tagged
+    tensor(cons.j_complex(REP2, REP2), cons.j_complex(REP2, REP2)).validate()
+    t = sehgp2()
     assert t.n == 96
     assert t.check_count() == 128
     assert t.logical_count() == 6
@@ -48,24 +50,29 @@ def test_sehgp_rep2_counts():
 
 
 def test_sehgp_rep3_counts():
-    t = cons.sehgp(REP3, REP3, REP3, REP3).tagged
+    t = cons.sehgp(REP3, REP3, REP3, REP3)
     assert t.n == 486
     assert t.check_count() == 648
     assert t.logical_count() == 6
 
 
 def test_sehgp_mixed_bases_dim_rule():
-    b = cons.sehgp(REP2, REP3, REP3, REP2)
+    j, k = cons.j_complex(REP2, REP3), cons.j_complex(REP3, REP2)
+    q = tensor(j, k)
     # degree-k dim of Q is the convolution of the factor dims
-    for k in range(5):
-        want = sum(b.j.dim(i) * b.k.dim(k - i)
-                   for i in range(k + 1) if i <= 2 and k - i <= 2)
-        assert b.q.dim(k) == want
-    b.q.validate()
+    for deg in range(5):
+        want = sum(j.dim(i) * k.dim(deg - i)
+                   for i in range(deg + 1) if i <= 2 and deg - i <= 2)
+        assert q.dim(deg) == want
+    q.validate()
+    # the code's qubits are the degree-2 cells, its checks degrees 3 and 1
+    t = cons.sehgp(REP2, REP3, REP3, REP2)
+    assert t.n == q.dim(2)
+    assert t.check_count() == q.dim(3) + q.dim(1)
 
 
 def test_sehgp_band_labels_reference_boundaries():
-    t = sehgp2().tagged
+    t = sehgp2()
     for entry in t.block_map():
         for label in entry["x"] + entry["z"]:
             assert label == "0" or "@" in label
@@ -74,13 +81,13 @@ def test_sehgp_band_labels_reference_boundaries():
 def test_sehgp_true_distance_is_d_squared():
     """Exhaustive: no logical of weight <= 3 in either sector; weight 4
     exists.  The base distance is 2, so d = 4 = d^2 here."""
-    t = sehgp2().tagged
-    assert isinstance(t.distance(3), LowerBound)
-    assert t.distance(4) == 4
+    c = sehgp2().css
+    assert isinstance(cons.code_distance(c, 3), LowerBound)
+    assert cons.code_distance(c, 4) == 4
 
 
 def test_cphr_involution_and_validation(tagged_equals):
-    t = cons.ssh(REP2).tagged
+    t = cons.ssh(REP2)
     once = cons.cphr(t, "T2", (1, 2), 2)
     once.validate()
     twice = cons.cphr(once, "T2", (1, 2), 2)
@@ -91,7 +98,7 @@ def test_cphr_involution_and_validation(tagged_equals):
 def test_cphr_rejects_commutation_breaking_swap(tagged_equals):
     # rotating only bands 2-3 of the four-band code anticommutes with the
     # untouched bands 1 and 4; only the composite of both swaps is valid
-    t = sehgp2().tagged
+    t = sehgp2()
     with pytest.raises(css.CommutationBrokenError):
         cons.cphr(t, "T2", (2, 3), 2)
     half = cons.cphr(t, "T2", (2, 3), 2, validate=False)
@@ -102,8 +109,7 @@ def test_cphr_rejects_commutation_breaking_swap(tagged_equals):
 
 
 def test_bsh_structure():
-    b = sehgp2()
-    rot = cons.bsh(b)
+    rot = cons.bsh(REP2, REP2, REP2, REP2)
     rot.validate()
     assert rot.paired
     assert rot.logical_count() == 6
@@ -114,29 +120,57 @@ def test_bsh_structure():
 
 
 def test_bsh_keeps_sehgp_parameters():
-    b = sehgp2()
-    rot = cons.bsh(b)
-    assert rot.n == b.tagged.n
-    assert rot.logical_count() == b.tagged.logical_count()
-    assert cons.pauli_distance(rot.stab_x, rot.stab_z, 4) == b.tagged.distance(4) == 4
+    t = sehgp2()
+    rot = cons.bsh(REP2, REP2, REP2, REP2)
+    assert rot.n == t.n
+    assert rot.logical_count() == t.logical_count()
+    assert (cons.pauli_distance(rot.stab_x, rot.stab_z, 4)
+            == cons.code_distance(t.css, 4) == 4)
+
+
+def test_bsh_unequal_bases_bundle_pinned(tmp_path):
+    """bsh builds its syndrome checks from J = j_complex(x, y) and
+    K = j_complex(z, w); with unequal bases every wrong pairing of the
+    factors changes a shape or a byte of the exported bundle."""
+    rot = cons.bsh(REP2, REP2, REP3, REP3)
+    rot.validate()
+    css.export_bundle(rot.css, tmp_path)
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in tmp_path.iterdir()}
+    assert got == {
+        "hsx.alist": "e8127715092a64cfacf7262d912c741c8e25e24f81603a3c9eb8e67f95d985b7",
+        "hsz.alist": "c15bba3663f80292d13ef8683473add048e7a5ded1532b58b4b34b4b02e69290",
+        "hx.alist": "e8e1f82ce6d90b87a6f18661a60eacf95947fe07b9b83ec79dd92ef2bb76280e",
+        "hz.alist": "7469ce10baf3e2d7a1488cbaa5dcf9e87233ef1cba2422ed4e258dc5a50452ef",
+        "manifest.json": "7babc38403553fc0716596b6f7c6139c796146b7165677cd7b4f7d5ce78fee85",
+    }
+
+
+@pytest.mark.parametrize("bases, k", [
+    ((REP2, REP3, REP3, REP2), 6),
+    ((classical.repetition_open(3), REP2, REP2, REP2), 3),
+])
+def test_bsh_unequal_bases_keep_sehgp_k(bases, k):
+    rot = cons.bsh(*bases)
+    rot.validate()
+    assert rot.logical_count() == cons.sehgp(*bases).logical_count() == k
 
 
 def test_bsh_z_only_tanner_split(tanner_components):
-    rot = cons.bsh(sehgp2())
+    rot = cons.bsh(REP2, REP2, REP2, REP2)
     comps = tanner_components(rot.stab_x)
     nontrivial = [c for c in comps if len(c[1]) > 0]
     assert len(nontrivial) >= 3
 
 
 def test_ssh_counts_and_structure():
-    b = cons.ssh(REP2)
-    t = b.tagged
+    t = cons.ssh(REP2)
     t.validate()
     assert t.n == 80
     assert t.check_count() == 64
     assert t.logical_count() == 26
     assert t.col_sizes == [64, 16]
-    assert t.distance(2) == 2
+    assert cons.code_distance(t.css, 2) == 2
 
 
 def test_bssh_rotation():
@@ -150,10 +184,11 @@ def test_bssh_rotation():
 
 
 def test_bssh_preserves_ssh_parameters():
-    ssh = cons.ssh(REP2).tagged
+    ssh = cons.ssh(REP2)
     rot = cons.bssh(REP2)
     assert (rot.n, rot.logical_count()) == (ssh.n, ssh.logical_count())
-    assert cons.pauli_distance(rot.stab_x, rot.stab_z, 2) == ssh.distance(2) == 2
+    assert (cons.pauli_distance(rot.stab_x, rot.stab_z, 2)
+            == cons.code_distance(ssh.css, 2) == 2)
 
 
 def test_bssh_hsz_two_components(tanner_components):
@@ -169,8 +204,9 @@ def test_identical_code_premise():
 
 
 def test_premise_warning_metadata():
-    t = cons.ssh(classical.repetition_open(3)).tagged
+    t = cons.ssh(classical.repetition_open(3))
     assert t.metadata["identical_code_premise"] is False
+    assert t.metadata["warning"].startswith("identical-code premise violated")
 
 
 def test_rsh_families():
@@ -180,7 +216,7 @@ def test_rsh_families():
         t.validate()
         assert t.n == 80 and t.check_count() == 64
         assert t.logical_count() == 26
-        assert t.distance(2) == 2
+        assert cons.code_distance(t.css, 2) == 2
         # defining identity of the numeric syndrome checks
         assert not f2.mat_mul(t.hsx, t.css.hx).any()
         assert not f2.mat_mul(t.hsz, t.css.hz).any()
@@ -202,7 +238,7 @@ def test_sehgp_block_truncations_keep_k_and_d():
     """Every choice of two of the four bands of sehgp(rep2) on two column
     blocks of 80 qubits (64 checks, the 5n^4 size) either anticommutes or
     has k >= 26 and d <= 2: removing blocks does not give k=2 or d=4."""
-    t = sehgp2().tagged
+    t = sehgp2()
     offs = t.col_offsets
     choices = [(cols, bands)
                for cols in itertools.combinations(range(3), 2)
@@ -348,6 +384,6 @@ def test_distance_searches_stop_mid_shell(monkeypatch):
 
 
 def test_pauli_distance_lower_bound():
-    rot = cons.bsh(sehgp2())
+    rot = cons.bsh(REP2, REP2, REP2, REP2)
     got = cons.pauli_distance(rot.stab_x, rot.stab_z, 3)
     assert isinstance(got, LowerBound) and got.value == 3

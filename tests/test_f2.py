@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from codeforge import classical, f2
 from codeforge import constructions as cons
+from codeforge.soundness import StabilizerModel, decode_residual
 
 REP3 = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
 HAM = np.array([[0, 0, 0, 1, 1, 1, 1],
@@ -425,7 +426,7 @@ def test_elimination_matches_column_loop(loop_row_echelon, m, seed):
 
 def test_elimination_matches_column_loop_on_sehgp_rep3(loop_row_echelon):
     rep3 = classical.repetition_closed_loop(3)
-    c = cons.sehgp(rep3, rep3, rep3, rep3).tagged.css
+    c = cons.sehgp(rep3, rep3, rep3, rep3).css
     m = np.concatenate([c.stab_x, c.stab_z], axis=1)
     assert m.shape == (648, 972) and f2.rank(m) == 486 - 6
     check_elimination(m, loop_row_echelon, np.random.default_rng(3))
@@ -451,6 +452,23 @@ def test_mat_vec_matches_int64_product(a, seed):
     got = f2.mat_vec(a, v)
     assert got.dtype == np.uint8 and got.shape == (a.shape[0],)
     assert (got == a.astype(np.int64) @ v.astype(np.int64) % 2).all()
+
+
+def test_vector_entries_checked_as_matrix_entries_are():
+    # a 2 is no GF(2) entry: it is rejected, not reduced mod 2
+    with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+        f2.mat_mul([[1, 1]], [[2], [1]])
+    with pytest.raises(ValueError, match="vector entries must be 0 or 1"):
+        f2.mat_vec([[1, 1]], [2, 1])
+    with pytest.raises(ValueError, match="vector entries must be 0 or 1"):
+        f2.as_f2_vector([0, 3])
+    # the decoder's measurement flips u go through the same check
+    model = StabilizerModel.from_code(cons.hgp(REP3, REP3).css)
+    e = np.zeros(2 * model.n, dtype=np.uint8)
+    u = np.zeros(model.m, dtype=np.uint8)
+    u[0] = 2
+    with pytest.raises(ValueError, match="vector entries must be 0 or 1"):
+        decode_residual(model, e, u)
 
 
 def test_mat_vec_parity_past_uint8_wrap():

@@ -656,7 +656,7 @@ def test_scan_annihilator_supports_4_are_pinned(family):
     if family == "rsh1":
         c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1).css
     else:
-        c = cons.bsh(cons.sehgp(REP3, REP3, REP3, REP3)).css
+        c = cons.bsh(REP3, REP3, REP3, REP3).css
     d = StabilizerModel.from_code(c).syndrome_map
     rows = SupportMatcher.for_columns(f2.kernel_basis(d.T)).supports(4)
     shape, digest = SCAN_SUPPORTS_4[family]
@@ -896,9 +896,10 @@ def test_first_soundness_lemma_instances(brute_distance):
 
 
 def test_composite_direct_sum_scan():
-    b = cons.sehgp(REP2, REP2, REP2, REP2)
-    d = f2.block_compose([[b.q.boundary(2), None],
-                          [None, b.q.boundary(3).T.copy()]])
+    q = complexes.tensor(cons.j_complex(REP2, REP2),
+                         cons.j_complex(REP2, REP2))
+    d = f2.block_compose([[q.boundary(2), None],
+                          [None, q.boundary(3).T.copy()]])
     rep = soundness_scan(d, t=2, f=quarter_square)
     assert rep.clean
 
@@ -976,7 +977,7 @@ def test_single_shot_noiseless_identity(single_shot_trial):
 
 
 def test_single_shot_weight1_error_clean_readout(single_shot_trial, pauli):
-    rot = cons.bsh(cons.sehgp(REP2, REP2, REP2, REP2))
+    rot = cons.bsh(REP2, REP2, REP2, REP2)
     model = StabilizerModel.from_code(rot)
     u = np.zeros(model.m, dtype=np.uint8)
     for qubit, p in [(0, "X"), (40, "Z"), (90, "Y")]:
@@ -986,7 +987,7 @@ def test_single_shot_weight1_error_clean_readout(single_shot_trial, pauli):
 
 
 def test_single_shot_one_flipped_outcome(single_shot_trial):
-    rot = cons.bsh(cons.sehgp(REP2, REP2, REP2, REP2))
+    rot = cons.bsh(REP2, REP2, REP2, REP2)
     model = StabilizerModel.from_code(rot)
     e = np.zeros(2 * rot.n, dtype=np.uint8)
     for pos in (0, 50, 127):
