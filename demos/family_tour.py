@@ -17,16 +17,16 @@ TOUR = [("hgp", 2), ("sehgp", 4), ("bsh", 4), ("ssh", 2), ("bssh", 2),
 def main():
     print(f"{'family':8} {'n':>4} {'checks':>6} {'k':>4} {'d':>4}  notes")
     for name, cap in TOUR:
-        tagged = cli.build_family(name, BASE)
-        tagged.validate()
-        n, k = tagged.n, tagged.logical_count()
-        d = cons.code_distance(tagged.css, cap, k)
+        code = cli.build_family(name, BASE)
+        code.validate()
+        n, k = code.n, code.logical_count()
+        d = cons.code_distance(code, cap, k)
         notes = []
-        if tagged.paired:
+        if code.paired:
             notes.append("XZZX-like rows")
-        if "d_s" in tagged.metadata:
-            notes.append(f"d_s={tagged.metadata['d_s']}")
-        print(f"{name:8} {n:>4} {tagged.check_count():>6} {k:>4} {d!r:>4}"
+        if "d_s" in code.metadata:
+            notes.append(f"d_s={code.metadata['d_s']}")
+        print(f"{name:8} {n:>4} {code.check_count():>6} {k:>4} {d!r:>4}"
               f"  {', '.join(notes)}")
     print()
     print("d values are exhaustive searches up to the shown cap; '> w'")

@@ -7,7 +7,8 @@ Submodules:
     classical       classical codes, repetition codes, the support search
     css             the one stabilizer code type, k, distance, alist bundles
     constructions   HGP, SEHGP, BSH, SSH/BSSH, RSH/BRSH, 3D XZZX builders,
-                    each returning one BlockTaggedCss; code_distance
+                    each returning one BlockTaggedCss, a CssCode that
+                    keeps its bands; code_distance
     soundness       reduced weights, soundness scans, single-shot trials
     noisesim        biased Pauli sampling and the experiment harness
     cli             the forge command line front end

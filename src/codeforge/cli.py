@@ -50,12 +50,11 @@ def _sha256(path: str) -> str:
 
 
 def _digest_dir(indir: str) -> dict:
-    out = {}
-    for name in sorted(os.listdir(indir)):
-        p = os.path.join(indir, name)
-        if os.path.isfile(p) and name != "run_manifest.json":
-            out[name] = _sha256(p)
-    return out
+    """sha256 of a bundle's manifest.json and of the files it lists; other
+    files in the directory are not part of the bundle."""
+    with open(os.path.join(indir, "manifest.json")) as fh:
+        names = json.load(fh)["files"] + ["manifest.json"]
+    return {name: _sha256(os.path.join(indir, name)) for name in names}
 
 
 def _load_config(path: str) -> dict:
@@ -111,17 +110,15 @@ def cmd_build(args, manifest: RunManifest) -> int:
     manifest.inputs.update(inputs)
     if args.family == "xzzx3d" and not args.base.startswith("rep:"):
         raise ValueError("xzzx3d takes a ring size, use --base rep:N")
-    tagged = build_family(args.family, base)
-    code = tagged.css
-    tagged.validate()
-    params = {"n": tagged.n, "k": tagged.logical_count()}
+    code = build_family(args.family, base)
+    code.validate()
+    params = {"n": code.n, "k": code.logical_count()}
     if args.max_weight:
         d = cons.code_distance(code, args.max_weight, params["k"])
         params["d"] = css._jsonable(d)
-    css.export_bundle(code, args.out,
-                      extra={"family": args.family, "base": base_desc,
-                             "params": params})
-    manifest.outputs = sorted(os.listdir(args.out))
+    manifest.outputs = css.export_bundle(
+        code, args.out,
+        extra={"family": args.family, "base": base_desc, "params": params})
     manifest.write(args.out)
     print(f"built {args.family} from {base_desc}: n={params['n']} "
           f"k={params['k']}" + (f" d={params['d']}" if "d" in params else ""))
@@ -133,7 +130,7 @@ def cmd_params(args, manifest: RunManifest) -> int:
         code = css.load_bundle(args.code)
     elif args.family and args.base:
         base, _, _ = _parse_base(args.base)
-        code = build_family(args.family, base).css
+        code = build_family(args.family, base)
     else:
         raise ValueError("params needs --code, or both --family and --base")
     k = css.logical_count(code)
@@ -213,9 +210,8 @@ def cmd_export(args, manifest: RunManifest) -> int:
         recorded = json.load(fh)
     extra = {k: v for k, v in recorded.items()
              if k in ("family", "base", "params")}
-    css.export_bundle(code, args.out, extra=extra)
+    manifest.outputs = css.export_bundle(code, args.out, extra=extra)
     manifest.inputs.update(_digest_dir(args.code))
-    manifest.outputs = sorted(os.listdir(args.out))
     manifest.write(args.out)
     print(f"exported {args.code} -> {args.out}")
     return 0

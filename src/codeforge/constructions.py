@@ -7,9 +7,10 @@ and a Z-part over the full qubit register, and the qubit register is
 split into tagged column blocks.
 Commutation-preserving Hadamard rotations (CPHR) swap the X- and Z-parts
 of one column block within chosen bands; after a swap a band may mix X and
-Z support, and the code is XZZX-like rather than CSS.  Every check, count
-and search runs on the CssCode view (BlockTaggedCss.css), which marks such
-codes as paired; code_distance is the one whole-code distance.
+Z support, and the code is XZZX-like rather than CSS.  A BlockTaggedCss is
+itself a CssCode, stacked from its bands once and marked paired when some
+band is mixed, so every check, count and search runs on it;
+code_distance is the one whole-code distance.
 
 Label notation: '@' is the Kronecker product, 'I' an identity block,
 'dk[J]' the degree-k boundary of complex J, a trailing 'T' its transpose.
@@ -43,13 +44,14 @@ class Band:
     def mixed(self) -> bool:
         return bool(self.x.any()) and bool(self.z.any())
 
-    def copy(self) -> "Band":
-        return Band(self.x.copy(), self.z.copy(),
-                    list(self.x_labels), list(self.z_labels))
 
+class BlockTaggedCss(CssCode):
+    """A code family instance: a CssCode that keeps its band/block structure.
 
-class BlockTaggedCss:
-    """A code family instance with explicit band/block structure.
+    The bands are stacked into hx/hz once, here.  A code with a mixed band
+    keeps every band's X and Z parts as paired rows; otherwise hx holds the
+    nonzero X bands and hz the nonzero Z bands, in band order.  No builder
+    changes a code after constructing it.
 
     Attributes:
         family: One of HGP, SEHGP, BSH, SSH, BSSH, RSH1, RSH2, BRSH1,
@@ -58,7 +60,9 @@ class BlockTaggedCss:
         col_sizes: Qubit column-block sizes (sums to n).
         hsx, hsz: Optional syndrome-check matrices over the stacked band
             rows of the X side / Z side.
-        metadata: Premise flags, d_s, swap history, exactness flags.
+        metadata: Premise flags, d_s, swap history, exactness flags, plus
+            family, block_map (the band-by-band label grid) and
+            paired_rows, set here.
     """
 
     def __init__(self, family: str, bands: list[Band], col_sizes: list[int],
@@ -66,17 +70,27 @@ class BlockTaggedCss:
         self.family = family
         self.bands = bands
         self.col_sizes = list(col_sizes)
-        self.hsx = None if hsx is None else f2.as_f2(hsx)
-        self.hsz = None if hsz is None else f2.as_f2(hsz)
-        self.metadata = dict(metadata or {})
         n = sum(col_sizes)
         for b in bands:
             if b.x.shape[1] != n or b.z.shape[1] != n:
                 raise ValueError("band width does not match qubit count")
+        meta = dict(metadata or {})
+        meta["family"] = family
+        meta["block_map"] = [{"rows": b.rows, "x": list(b.x_labels),
+                              "z": list(b.z_labels)} for b in bands]
+        if any(b.mixed for b in bands):
+            meta["paired_rows"] = True
+            xs, zs = [b.x for b in bands], [b.z for b in bands]
+        else:
+            meta.pop("paired_rows", None)
+            xs = [b.x for b in bands if b.x.any()]
+            zs = [b.z for b in bands if b.z.any()]
 
-    @property
-    def n(self) -> int:
-        return sum(self.col_sizes)
+        def stack(parts):
+            return (f2.block_compose([[m] for m in parts]) if parts
+                    else f2.zeros(0, n))
+
+        super().__init__(stack(xs), stack(zs), hsx=hsx, hsz=hsz, metadata=meta)
 
     @property
     def col_offsets(self) -> list[int]:
@@ -85,55 +99,15 @@ class BlockTaggedCss:
             out.append(out[-1] + s)
         return out
 
-    @property
-    def paired(self) -> bool:
-        """True when some band mixes X and Z support (post-rotation)."""
-        return any(b.mixed for b in self.bands)
-
-    @property
-    def stab_x(self) -> np.ndarray:
-        return f2.block_compose([[b.x] for b in self.bands])
-
-    @property
-    def stab_z(self) -> np.ndarray:
-        return f2.block_compose([[b.z] for b in self.bands])
-
-    @property
-    def css(self) -> CssCode:
-        """CssCode view: pure bands are split by type; mixed codes keep the
-        full X/Z sides, marked as paired rows."""
-        meta = dict(self.metadata)
-        meta["family"] = self.family
-        meta["block_map"] = self.block_map()
-        if self.paired:
-            meta["paired_rows"] = True
-            return CssCode(self.stab_x, self.stab_z,
-                           hsx=self.hsx, hsz=self.hsz, metadata=meta)
-        hx_rows = [b.x for b in self.bands if b.x.any()]
-        hz_rows = [b.z for b in self.bands if b.z.any()]
-        hx = f2.block_compose([[m] for m in hx_rows]) if hx_rows else f2.zeros(0, self.n)
-        hz = f2.block_compose([[m] for m in hz_rows]) if hz_rows else f2.zeros(0, self.n)
-        return CssCode(hx, hz, hsx=self.hsx, hsz=self.hsz, metadata=meta)
-
-    def block_map(self) -> list[dict]:
-        """Band-by-band label grid for manifests."""
-        return [{"rows": b.rows, "x": list(b.x_labels), "z": list(b.z_labels)}
-                for b in self.bands]
-
     def check_count(self) -> int:
         """Number of measured stabilizers."""
-        return self.css.stab_x.shape[0]
+        return self.stab_x.shape[0]
 
     def validate(self) -> None:
-        css.validate_css(self.css)
+        css.validate_css(self)
 
     def logical_count(self) -> int:
-        return css.logical_count(self.css)
-
-    def copy(self) -> "BlockTaggedCss":
-        return BlockTaggedCss(self.family, [b.copy() for b in self.bands],
-                              self.col_sizes, hsx=self.hsx, hsz=self.hsz,
-                              metadata=dict(self.metadata))
+        return css.logical_count(self)
 
     def __repr__(self):
         return (f"<BlockTaggedCss {self.family} n={self.n} "
@@ -263,7 +237,7 @@ def cphr(c: BlockTaggedCss, kind: str, row_bands: tuple[int, int],
         c: Input tagged code.
         kind: 'T1' or 'T2' (recorded in the swap history; the mechanics
             are identical, the names refer to the two standard band pairs).
-        row_bands: 1-based band indices to rotate.
+        row_bands: 1-based row band indices to rotate.
         col_band: 1-based qubit column block.
         validate: Re-verify commutation of the result (default True).
 
@@ -273,26 +247,32 @@ def cphr(c: BlockTaggedCss, kind: str, row_bands: tuple[int, int],
         the same swap twice restores the input's bands bit-exactly.
 
     Raises:
+        IndexError: for a row band or column block that does not exist.
         css.CommutationBrokenError: if the rotated stabilizers anticommute.
     """
     if kind not in ("T1", "T2"):
         raise ValueError("kind must be 'T1' or 'T2'")
-    out = c.copy()
-    out.hsx = out.hsz = None
-    offs = out.col_offsets
+    offs = c.col_offsets
     j = col_band - 1
-    if not 0 <= j < len(out.col_sizes):
+    if not 0 <= j < len(c.col_sizes):
         raise IndexError(f"no column block {col_band}")
     sl = slice(offs[j], offs[j + 1])
+    bands = list(c.bands)
     for bi in row_bands:
-        band = out.bands[bi - 1]
-        band.x[:, sl], band.z[:, sl] = band.z[:, sl].copy(), band.x[:, sl].copy()
-        band.x_labels[j], band.z_labels[j] = band.z_labels[j], band.x_labels[j]
+        if not 1 <= bi <= len(bands):
+            raise IndexError(f"no row band {bi}")
+        band = bands[bi - 1]
+        x, z = band.x.copy(), band.z.copy()
+        x[:, sl], z[:, sl] = band.z[:, sl], band.x[:, sl]
+        x_labels, z_labels = list(band.x_labels), list(band.z_labels)
+        x_labels[j], z_labels[j] = band.z_labels[j], band.x_labels[j]
+        bands[bi - 1] = Band(x, z, x_labels, z_labels)
+    history = list(c.metadata.get("swaps", []))
+    history.append({"kind": kind, "row_bands": list(row_bands), "col_band": col_band})
+    out = BlockTaggedCss(c.family, bands, c.col_sizes,
+                         metadata=dict(c.metadata, swaps=history))
     if validate:
         out.validate()
-    history = list(out.metadata.get("swaps", []))
-    history.append({"kind": kind, "row_bands": list(row_bands), "col_band": col_band})
-    out.metadata["swaps"] = history
     return out
 
 
@@ -313,7 +293,6 @@ def bsh(x: ClassicalCode, y: ClassicalCode, z: ClassicalCode,
     # composite is a qubit-local basis change, so validation waits for it
     c = cphr(sehgp(x, y, z, w), "T2", (2, 3), 2, validate=False)
     c = cphr(c, "T1", (1, 4), 2)
-    c.family = "BSH"
     jc, kc = j_complex(x, y), j_complex(z, w)
     d1j, d2j = jc.boundary(1), jc.boundary(2)
     d1k, d2k = kc.boundary(1), kc.boundary(2)
@@ -331,14 +310,14 @@ def bsh(x: ClassicalCode, y: ClassicalCode, z: ClassicalCode,
         [None, f2.kron(d2j.T, ik2), None, None],
         [None, None, f2.kron(ij0, d1k), f2.kron(d1j, ik0)],
     ])
-    c.hsx, c.hsz = hsx, hsz
-    c.metadata["syndrome_checks_exact"] = True
-    c.metadata["hsx_labels"] = [
+    meta = dict(c.metadata)
+    meta["syndrome_checks_exact"] = True
+    meta["hsx_labels"] = [
         ["I@d2T[K]", "d2T[J]@I", "0", "0"],
         ["0", "0", "I@d1[K]", "0"],
         ["0", "0", "0", "d1[J]@I"],
     ]
-    c.metadata["hsz_labels"] = [
+    meta["hsz_labels"] = [
         ["I@d2T[K]", "0", "0", "0"],
         ["0", "d2T[J]@I", "0", "0"],
         ["0", "0", "I@d1[K]", "d1[J]@I"],
@@ -346,8 +325,9 @@ def bsh(x: ClassicalCode, y: ClassicalCode, z: ClassicalCode,
     ds_x, ds_z = (classical.SupportMatcher.for_columns(h).least_weight(4)
                   for h in (hsx, hsz))
     vals = [d for d in (ds_x, ds_z) if not isinstance(d, LowerBound)]
-    c.metadata["d_s"] = min(vals) if vals else ds_x
-    return c
+    meta["d_s"] = min(vals) if vals else ds_x
+    return BlockTaggedCss("BSH", c.bands, c.col_sizes, hsx=hsx, hsz=hsz,
+                          metadata=meta)
 
 
 def ssh(base: ClassicalCode) -> BlockTaggedCss:
@@ -389,30 +369,30 @@ def bssh(base: ClassicalCode) -> BlockTaggedCss:
     annihilation requirement accordingly.
     """
     c = cphr(ssh(base), "T2", (1, 2), 2)
-    c.family = "BSSH"
     jc = j_complex(base, base)
     d1j, d2j = jc.boundary(1), jc.boundary(2)
     i_n = f2.identity(jc.dim(2))
     hs_block = f2.kron(i_n, d2j.T)
     band_rows = [b.rows for b in c.bands]
-    c.hsx = f2.block_compose([
+    hsx = f2.block_compose([
         [f2.zeros(hs_block.shape[0], band_rows[0]), hs_block],
         [hs_block, f2.zeros(hs_block.shape[0], band_rows[1])],
     ])
     hsz_block = f2.kron(d1j, i_n)
-    c.hsz = f2.block_compose([
+    hsz = f2.block_compose([
         [hsz_block, f2.zeros(hsz_block.shape[0], band_rows[1])],
         [f2.zeros(hsz_block.shape[0], band_rows[0]), hsz_block],
     ])
-    exact_x = not f2.mat_mul(c.hsx, c.stab_x).any()
-    exact_z = not f2.mat_mul(c.hsz, c.stab_z).any()
-    c.metadata["syndrome_checks_exact"] = bool(exact_x and exact_z)
-    c.metadata["syndrome_check_annihilation"] = {"hsx": bool(exact_x), "hsz": bool(exact_z)}
-    c.metadata["hsx_labels"] = [["0", "I@d2T[J]"], ["I@d2T[J]", "0"]]
-    c.metadata["hsz_labels"] = [["d1[J]@I", "0"], ["0", "d1[J]@I"]]
-    c.metadata["d_s"] = classical.SupportMatcher.for_columns(
-        c.hsz).least_weight(4)
-    return c
+    exact_x = not f2.mat_mul(hsx, c.stab_x).any()
+    exact_z = not f2.mat_mul(hsz, c.stab_z).any()
+    meta = dict(c.metadata)
+    meta["syndrome_checks_exact"] = bool(exact_x and exact_z)
+    meta["syndrome_check_annihilation"] = {"hsx": bool(exact_x), "hsz": bool(exact_z)}
+    meta["hsx_labels"] = [["0", "I@d2T[J]"], ["I@d2T[J]", "0"]]
+    meta["hsz_labels"] = [["d1[J]@I", "0"], ["0", "d1[J]@I"]]
+    meta["d_s"] = classical.SupportMatcher.for_columns(hsz).least_weight(4)
+    return BlockTaggedCss("BSSH", c.bands, c.col_sizes, hsx=hsx, hsz=hsz,
+                          metadata=meta)
 
 
 def rsh(src: BlockTaggedCss, which: int) -> BlockTaggedCss:
@@ -462,11 +442,10 @@ def brsh(src: BlockTaggedCss, which: int) -> BlockTaggedCss:
     c = rsh(src, which)
     big = 2 if which == 1 else 1
     out = cphr(c, "T2", (1, 2), big)
-    out.family = f"BRSH{which}"
-    out.hsx = f2.kernel_basis(out.stab_x.T)
-    out.hsz = f2.kernel_basis(out.stab_z.T)
-    out.metadata["syndrome_checks_numeric"] = True
-    return out
+    return BlockTaggedCss(f"BRSH{which}", out.bands, out.col_sizes,
+                          hsx=f2.kernel_basis(out.stab_x.T),
+                          hsz=f2.kernel_basis(out.stab_z.T),
+                          metadata=out.metadata)
 
 
 def xzzx3d(n: int) -> BlockTaggedCss:
@@ -480,8 +459,8 @@ def xzzx3d(n: int) -> BlockTaggedCss:
     if n < 2:
         raise ValueError("xzzx3d needs n >= 2")
     c = bssh(classical.repetition_closed_loop(n))
-    c.family = "XZZX3D"
-    return c
+    return BlockTaggedCss("XZZX3D", c.bands, c.col_sizes, hsx=c.hsx,
+                          hsz=c.hsz, metadata=c.metadata)
 
 
 def code_distance(c: CssCode, max_weight: int, k: int | None = None):

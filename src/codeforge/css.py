@@ -4,10 +4,11 @@ A CSS code is (hx, hz) with hx hz^T = 0; hx rows detect Z errors, hz rows
 detect X errors.  A rotated (XZZX-like) code is stored in the same two
 blocks with paired rows: row i of hx and row i of hz are the X and Z parts
 of one stabilizer, and commutation is the symplectic condition.  Every
-check, count, search and decoder runs on this type; stab_x/stab_z give
-the symplectic view of either kind.  Optional syndrome-check matrices
-hsx/hsz protect the measured syndromes themselves (hsx annihilates hx,
-hsz annihilates hz).
+check, count, search and decoder runs on this type, and every built code
+is one (constructions.BlockTaggedCss subclasses it); stab_x/stab_z give
+the stabilizers of either kind in symplectic form.  Optional
+syndrome-check matrices hsx/hsz protect the measured syndromes
+themselves (hsx annihilates hx, hsz annihilates hz).
 """
 from __future__ import annotations
 
@@ -155,8 +156,12 @@ def distance(c: CssCode, kind: str, max_weight: int, k: int | None = None):
     return min(found, default=LowerBound(max_weight))
 
 
-def export_bundle(c: CssCode, outdir, extra: dict | None = None) -> None:
-    """Write the code as a four-file alist bundle plus a JSON manifest."""
+def export_bundle(c: CssCode, outdir, extra: dict | None = None) -> list:
+    """Write the code as a four-file alist bundle plus a JSON manifest.
+
+    Returns:
+        The sorted names of the files written, manifest.json included.
+    """
     os.makedirs(outdir, exist_ok=True)
     files = {"hx": c.hx, "hz": c.hz}
     if c.hsx is not None:
@@ -177,6 +182,7 @@ def export_bundle(c: CssCode, outdir, extra: dict | None = None) -> None:
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return manifest["files"] + ["manifest.json"]
 
 
 def load_bundle(indir) -> CssCode:

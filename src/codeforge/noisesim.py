@@ -138,7 +138,7 @@ def run_experiment(code, model: NoiseModel, trials: int, seed: int,
     in-regime iff |u| < regime_p and f(2 |u|) + |e| < regime_q.
 
     Args:
-        code: CssCode or banded code; must expose syndrome checks
+        code: A CssCode, built or loaded; must expose syndrome checks
             implicitly (the decoder uses the numeric valid-syndrome
             annihilator, so q_meas > 0 requires a nontrivial one).
         model: Noise rates.

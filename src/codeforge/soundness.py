@@ -92,7 +92,9 @@ class StabilizerModel:
 
     @classmethod
     def from_code(cls, code) -> "StabilizerModel":
-        """Build from a CssCode or any object with stab_x/stab_z sides."""
+        """Build from a CssCode's stabilizers: [hx; 0] and [0; hz] for an
+        unpaired code, the paired rows otherwise, so a built code and the
+        bundle it exports give the same model row for row."""
         return cls(code.stab_x, code.stab_z)
 
     def syndrome(self, e: np.ndarray) -> np.ndarray:

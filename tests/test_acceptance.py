@@ -68,11 +68,10 @@ def test_criterion_01_direct_product_fixture(brute_distance):
 
 def test_criterion_02_hgp_sanity():
     t = cons.hgp(REP3.h, REP3.h)
-    c = t.css
     verdict(2, [
         ("params [[18,2,3]]",
-         (t.n, t.logical_count(), cons.code_distance(c, 3)) == (18, 2, 3)),
-        ("XZ^T = 0", not f2.mat_mul(c.hx, c.hz.T).any()),
+         (t.n, t.logical_count(), cons.code_distance(t, 3)) == (18, 2, 3)),
+        ("XZ^T = 0", not f2.mat_mul(t.hx, t.hz.T).any()),
     ])
 
 
@@ -112,7 +111,6 @@ def test_criterion_03_sehgp_counts(brute_distance):
     # square of the ring distance
     t2 = cons.sehgp(REP2, REP2, REP2, REP2)
     t3 = cons.sehgp(REP3, REP3, REP3, REP3)
-    c3 = t3.css
     d2 = brute_distance(REP2.h) ** 2
     d3 = brute_distance(REP3.h) ** 2
     w3 = sehgp_witness(REP3)
@@ -121,15 +119,15 @@ def test_criterion_03_sehgp_counts(brute_distance):
         ("rep(2): 128 checks", t2.check_count() == 128),
         ("rep(2): k=6", t2.logical_count() == 6),
         (f"rep(2): d={d2} by weight-<={d2} search",
-         cons.code_distance(t2.css, d2) == d2),
+         cons.code_distance(t2, d2) == d2),
         ("rep(3): 486 qubits", t3.n == 486),
         ("rep(3): 648 checks", t3.check_count() == 648),
         ("rep(3): k=6", t3.logical_count() == 6),
         ("rep(3): no logical of weight <= 4",
-         isinstance(cons.code_distance(c3, 4), LowerBound)),
+         isinstance(cons.code_distance(t3, 4), LowerBound)),
         (f"rep(3): weight-{d3} logical witness",
-         f2.weight(w3) == d3 and not f2.mat_vec(c3.hx, w3).any()
-         and not f2.RowSpaceTester(c3.hz).contains_batch([w3])[0]),
+         f2.weight(w3) == d3 and not f2.mat_vec(t3.hx, w3).any()
+         and not f2.RowSpaceTester(t3.hz).contains_batch([w3])[0]),
     ])
 
 
@@ -145,7 +143,7 @@ def test_criterion_04_cphr_validity(tagged_equals):
         ("k unchanged", rot.logical_count() == t.logical_count()),
         ("d unchanged",
          cons.pauli_distance(rot.stab_x, rot.stab_z, 4)
-         == cons.code_distance(t.css, 4) == 4),
+         == cons.code_distance(t, 4) == 4),
         ("same swap twice restores input", tagged_equals(undone, t)),
     ])
 
@@ -161,7 +159,7 @@ def test_criterion_05_ssh_bssh(brute_distance):
         ("64 checks", t.check_count() == 64),
         ("k >= n - checks", t.logical_count() >= t.n - t.check_count()),
         (f"k={k} by the HGP law", t.logical_count() == k),
-        ("d=4 by weight-<=4 search", cons.code_distance(t.css, 4) == 4),
+        ("d=4 by weight-<=4 search", cons.code_distance(t, 4) == 4),
         ("BSSH d(h_sz)=2 = min base distance",
          rot.metadata["d_s"] == 2 == brute_distance(REP2.h)),
     ])
@@ -176,7 +174,6 @@ def test_criterion_06_rsh_brsh(brute_distance, brute_betti):
     # rsh1 is the product of d1[J] with d2[K], rsh2 of d2[J] with d1[K]
     for which, (hj, hk) in ((1, (d1j, d2k)), (2, (d2j, d1k))):
         t = cons.rsh(b, which)
-        c = t.css
         k, d = hgp_law(hj, hk.T, brute_distance)
         kunneth = brute_betti(
             complexes.tensor(ChainComplex([hj]), ChainComplex([hk])), 1)
@@ -188,13 +185,13 @@ def test_criterion_06_rsh_brsh(brute_distance, brute_betti):
             (f"rsh{which}: k={k} by the HGP law and Kunneth",
              t.logical_count() == k == kunneth),
             (f"rsh{which}: d={d} by the HGP law",
-             cons.code_distance(c, d) == d),
+             cons.code_distance(t, d) == d),
             (f"rsh{which}: h_rs annihilates",
-             not f2.mat_mul(t.hsx, c.hx).any()
-             and not f2.mat_mul(t.hsz, c.hz).any()),
+             not f2.mat_mul(t.hsx, t.hx).any()
+             and not f2.mat_mul(t.hsz, t.hz).any()),
             (f"rsh{which}: rank complement",
-             f2.rank(c.hx) + t.hsx.shape[0] == c.hx.shape[0]
-             and f2.rank(c.hz) + t.hsz.shape[0] == c.hz.shape[0]),
+             f2.rank(t.hx) + t.hsx.shape[0] == t.hx.shape[0]
+             and f2.rank(t.hz) + t.hsz.shape[0] == t.hz.shape[0]),
         ]
     verdict(6, checks)
 
@@ -227,7 +224,7 @@ def test_criterion_08_soundness_scans():
     b = cons.sehgp(REP2, REP2, REP2, REP2)
     cubic = []
     for which in (1, 2):
-        c = cons.rsh(b, which).css
+        c = cons.rsh(b, which)
         cubic.append(all(soundness_scan(m, t=2, f=quarter_cube).clean
                          for m in (c.hx, c.hz)))
     verdict(8, [
@@ -273,8 +270,8 @@ def test_criterion_09_single_shot_patterns(single_shot_trial, pauli,
 def test_criterion_10_bias_decomposition(tanner_components):
     checks = []
     for base in (REP2, REP3):
-        slim = cons.ssh(base).css
-        rot = cons.bssh(base).css
+        slim = cons.ssh(base)
+        rot = cons.bssh(base)
         before = len(tanner_components(slim.hx))
         after = len(tanner_components(rot.hx))
         checks.append(
@@ -288,7 +285,7 @@ def test_criterion_11_declared_non_reproduction():
     # only; the infinite-bias limit is exercised structurally instead
     model = noisesim.NoiseModel.z_biased(0.4, float("inf"))
     e = noisesim.sample_error(model, 4000, np.random.default_rng(11))
-    c = cons.bssh(REP2).css
+    c = cons.bssh(REP2)
     sm = StabilizerModel.from_code(c)
     probe = np.concatenate([np.zeros(c.n, dtype=np.uint8),
                             e[4000:4000 + c.n]])

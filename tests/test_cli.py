@@ -256,6 +256,31 @@ def test_rebuild_over_another_bundle_reads_only_listed_files(
     assert not (two / "hsz.alist").exists()
 
 
+def test_run_manifests_list_only_the_bundle_files(tmp_path, capsys):
+    # a bsh bundle leaves hsx.alist and hsz.alist behind in both
+    # directories; the sehgp bundle written over it has neither
+    bundle = ["hx.alist", "hz.alist", "manifest.json"]
+    fresh = build_bundle(tmp_path, capsys, family="bsh", base="rep:2")
+    m = json.loads((fresh / "run_manifest.json").read_text())
+    assert m["outputs"] == ["hsx.alist", "hsz.alist"] + bundle
+    build_bundle(tmp_path, capsys, family="bsh", base="rep:2", name="two")
+    out = build_bundle(tmp_path, capsys, family="sehgp", base="rep:2")
+    m = json.loads((out / "run_manifest.json").read_text())
+    assert m["outputs"] == bundle
+    two = tmp_path / "two"
+    code, _, err = run(capsys, "export", "--code", str(out), "--out", str(two))
+    assert code == 0, err
+    m = json.loads((two / "run_manifest.json").read_text())
+    assert m["outputs"] == bundle
+    assert m["inputs"] == {name: _file_sha256(out / name) for name in bundle}
+    sim = tmp_path / "sim.csv"
+    code, _, err = run(capsys, "simulate", "--code", str(out), "--p", "0.01",
+                       "--trials", "1", "--seed", "1", "--out", str(sim))
+    assert code == 0, err
+    m = json.loads((sim.parent / "run_manifest.json").read_text())
+    assert m["inputs"] == {name: _file_sha256(out / name) for name in bundle}
+
+
 @pytest.mark.parametrize("files", [None, "hx.alist", ["hx.alist"]])
 def test_manifest_without_files_list_is_one_error_line(tmp_path, capsys,
                                                        files):

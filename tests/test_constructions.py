@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codeforge import classical, css, f2
+from codeforge import classical, cli, css, f2
 from codeforge import constructions as cons
 from codeforge.classical import LowerBound
 from codeforge.complexes import tensor
+from codeforge.soundness import StabilizerModel
 
 REP2 = classical.repetition_closed_loop(2)
 REP3 = classical.repetition_closed_loop(3)
@@ -24,13 +25,13 @@ def sehgp2():
 def test_hgp_rep3():
     t = cons.hgp(REP3.h, REP3.h)
     t.validate()
-    assert (t.n, t.logical_count(), cons.code_distance(t.css, 3)) == (18, 2, 3)
-    assert not f2.mat_mul(t.css.hx, t.css.hz.T).any()
+    assert (t.n, t.logical_count(), cons.code_distance(t, 3)) == (18, 2, 3)
+    assert not f2.mat_mul(t.hx, t.hz.T).any()
 
 
 def test_hgp_rep2():
     t = cons.hgp(REP2.h, REP2.h)
-    assert (t.n, t.logical_count(), cons.code_distance(t.css, 2)) == (8, 2, 2)
+    assert (t.n, t.logical_count(), cons.code_distance(t, 2)) == (8, 2, 2)
 
 
 def test_hgp_empty_factor():
@@ -73,7 +74,7 @@ def test_sehgp_mixed_bases_dim_rule():
 
 def test_sehgp_band_labels_reference_boundaries():
     t = sehgp2()
-    for entry in t.block_map():
+    for entry in t.metadata["block_map"]:
         for label in entry["x"] + entry["z"]:
             assert label == "0" or "@" in label
 
@@ -81,7 +82,7 @@ def test_sehgp_band_labels_reference_boundaries():
 def test_sehgp_true_distance_is_d_squared():
     """Exhaustive: no logical of weight <= 3 in either sector; weight 4
     exists.  The base distance is 2, so d = 4 = d^2 here."""
-    c = sehgp2().css
+    c = sehgp2()
     assert isinstance(cons.code_distance(c, 3), LowerBound)
     assert cons.code_distance(c, 4) == 4
 
@@ -108,6 +109,14 @@ def test_cphr_rejects_commutation_breaking_swap(tagged_equals):
     assert tagged_equals(cons.cphr(half, "T2", (2, 3), 2, validate=False), t)
 
 
+def test_cphr_rejects_out_of_range_row_bands():
+    # band 0 and negative bands must not index from the end of the list
+    half = cons.cphr(sehgp2(), "T2", (2, 3), 2, validate=False)
+    for rows in ((-3, 0), (1, 0), (1, 5)):
+        with pytest.raises(IndexError, match="no row band"):
+            cons.cphr(half, "T1", rows, 2)
+
+
 def test_bsh_structure():
     rot = cons.bsh(REP2, REP2, REP2, REP2)
     rot.validate()
@@ -125,7 +134,7 @@ def test_bsh_keeps_sehgp_parameters():
     assert rot.n == t.n
     assert rot.logical_count() == t.logical_count()
     assert (cons.pauli_distance(rot.stab_x, rot.stab_z, 4)
-            == cons.code_distance(t.css, 4) == 4)
+            == cons.code_distance(t, 4) == 4)
 
 
 def test_bsh_unequal_bases_bundle_pinned(tmp_path):
@@ -134,7 +143,7 @@ def test_bsh_unequal_bases_bundle_pinned(tmp_path):
     factors changes a shape or a byte of the exported bundle."""
     rot = cons.bsh(REP2, REP2, REP3, REP3)
     rot.validate()
-    css.export_bundle(rot.css, tmp_path)
+    css.export_bundle(rot, tmp_path)
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
            for f in tmp_path.iterdir()}
     assert got == {
@@ -170,7 +179,7 @@ def test_ssh_counts_and_structure():
     assert t.check_count() == 64
     assert t.logical_count() == 26
     assert t.col_sizes == [64, 16]
-    assert cons.code_distance(t.css, 2) == 2
+    assert cons.code_distance(t, 2) == 2
 
 
 def test_bssh_rotation():
@@ -188,7 +197,7 @@ def test_bssh_preserves_ssh_parameters():
     rot = cons.bssh(REP2)
     assert (rot.n, rot.logical_count()) == (ssh.n, ssh.logical_count())
     assert (cons.pauli_distance(rot.stab_x, rot.stab_z, 2)
-            == cons.code_distance(ssh.css, 2) == 2)
+            == cons.code_distance(ssh, 2) == 2)
 
 
 def test_bssh_hsz_two_components(tanner_components):
@@ -216,12 +225,12 @@ def test_rsh_families():
         t.validate()
         assert t.n == 80 and t.check_count() == 64
         assert t.logical_count() == 26
-        assert cons.code_distance(t.css, 2) == 2
+        assert cons.code_distance(t, 2) == 2
         # defining identity of the numeric syndrome checks
-        assert not f2.mat_mul(t.hsx, t.css.hx).any()
-        assert not f2.mat_mul(t.hsz, t.css.hz).any()
-        assert f2.rank(t.css.hx) + t.hsx.shape[0] == t.css.hx.shape[0]
-        assert f2.rank(t.css.hz) + t.hsz.shape[0] == t.css.hz.shape[0]
+        assert not f2.mat_mul(t.hsx, t.hx).any()
+        assert not f2.mat_mul(t.hsz, t.hz).any()
+        assert f2.rank(t.hx) + t.hsx.shape[0] == t.hx.shape[0]
+        assert f2.rank(t.hz) + t.hsz.shape[0] == t.hz.shape[0]
 
 
 def test_brsh_families():
@@ -257,6 +266,47 @@ def test_sehgp_block_truncations_keep_k_and_d():
         assert 80 - f2.rank(np.concatenate([x, z], axis=1)) >= 26
         assert not isinstance(cons.pauli_distance(x, z, 2), LowerBound)
     assert commuting > 0
+
+
+@pytest.mark.parametrize("family", cli.FAMILIES)
+def test_built_code_equals_its_bundle(tmp_path, family):
+    built = cli.build_family(family, REP2)
+    css.export_bundle(built, tmp_path)
+    loaded = css.load_bundle(tmp_path)
+    for name in ("hx", "hz", "hsx", "hsz"):
+        a, b = getattr(built, name), getattr(loaded, name)
+        assert (a is None) == (b is None), name
+        assert a is None or (a.shape == b.shape and (a == b).all()), name
+    assert (built.n, built.paired) == (loaded.n, loaded.paired)
+    assert np.array_equal(StabilizerModel.from_code(built).syndrome_map,
+                          StabilizerModel.from_code(loaded).syndrome_map)
+
+
+def _state(c):
+    """Everything of a built code that a later builder could write to."""
+    bands = [(b.x.tolist(), b.z.tolist(), list(b.x_labels), list(b.z_labels))
+             for b in c.bands]
+    return bands, c.hx.tolist(), c.hz.tolist(), c.metadata
+
+
+def test_builders_leave_their_sehgp_input_alone(monkeypatch):
+    # bsh builds its sehgp input itself; keep it to look at afterwards
+    fresh = _state(sehgp2())
+    real, inputs = cons.sehgp, []
+
+    def kept_sehgp(*codes):
+        inputs.append(real(*codes))
+        return inputs[-1]
+
+    monkeypatch.setattr(cons, "sehgp", kept_sehgp)
+    cons.bsh(REP2, REP2, REP2, REP2)
+    src = sehgp2()
+    for which in (1, 2):
+        cons.rsh(src, which)
+        cons.brsh(src, which)
+    assert len(inputs) == 2
+    for c in inputs:
+        assert _state(c) == fresh
 
 
 def test_xzzx3d_equals_bssh(tagged_equals):
@@ -365,7 +415,7 @@ def test_distance_searches_stop_mid_shell(monkeypatch):
 
     monkeypatch.setattr(f2.RowSpaceTester, "contains_batch", spy)
     rep4 = classical.repetition_closed_loop(4)
-    c = cons.hgp(rep4.h, rep4.h).css
+    c = cons.hgp(rep4.h, rep4.h)
     for search in (lambda cap: css.distance(c, "X", cap),
                    lambda cap: css.distance(c, "Z", cap),
                    lambda cap: cons.pauli_distance(c.stab_x, c.stab_z, cap)):

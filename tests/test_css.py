@@ -12,7 +12,7 @@ from codeforge.css import CssCode, CssValidationError, NoLogicalsError
 
 def toric18():
     rep3 = classical.repetition_closed_loop(3)
-    return hgp(rep3.h, rep3.h).css
+    return hgp(rep3.h, rep3.h)
 
 
 def test_validate_hgp_output():
@@ -31,7 +31,7 @@ def test_validate_qubit_mismatch():
 
 def test_validate_syndrome_checks():
     rep2 = classical.repetition_closed_loop(2)
-    c = hgp(rep2.h, rep2.h).css
+    c = hgp(rep2.h, rep2.h)
     good = f2.kernel_basis(c.hx.T.copy())
     css.validate_css(CssCode(c.hx, c.hz, hsx=good))
     bad = np.ones((1, c.hx.shape[0]), dtype=np.uint8)
@@ -85,7 +85,7 @@ def test_distance_matches_full_enumeration(block, monkeypatch):
     # between steps of one weight
     monkeypatch.setattr(classical, "_BLOCK", block)
     rep2 = classical.repetition_closed_loop(2)
-    c = hgp(rep2.h, rep2.h).css  # 8 qubits
+    c = hgp(rep2.h, rep2.h)  # 8 qubits
     for kind in "XZ":
         assert css.distance(c, kind, 8) == brute_css_distance(c, kind)
     assert css.distance(c, "XZ", 8) == min(brute_css_distance(c, kind)
@@ -134,7 +134,7 @@ def test_tanner_toric_connected(tanner_components):
 
 
 def test_tanner_bssh_splits(tanner_components):
-    c = bssh(classical.repetition_closed_loop(2)).css
+    c = bssh(classical.repetition_closed_loop(2))
     assert len(tanner_components(c.hx)) >= 2
 
 

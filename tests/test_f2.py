@@ -426,7 +426,7 @@ def test_elimination_matches_column_loop(loop_row_echelon, m, seed):
 
 def test_elimination_matches_column_loop_on_sehgp_rep3(loop_row_echelon):
     rep3 = classical.repetition_closed_loop(3)
-    c = cons.sehgp(rep3, rep3, rep3, rep3).css
+    c = cons.sehgp(rep3, rep3, rep3, rep3)
     m = np.concatenate([c.stab_x, c.stab_z], axis=1)
     assert m.shape == (648, 972) and f2.rank(m) == 486 - 6
     check_elimination(m, loop_row_echelon, np.random.default_rng(3))
@@ -463,7 +463,7 @@ def test_vector_entries_checked_as_matrix_entries_are():
     with pytest.raises(ValueError, match="vector entries must be 0 or 1"):
         f2.as_f2_vector([0, 3])
     # the decoder's measurement flips u go through the same check
-    model = StabilizerModel.from_code(cons.hgp(REP3, REP3).css)
+    model = StabilizerModel.from_code(cons.hgp(REP3, REP3))
     e = np.zeros(2 * model.n, dtype=np.uint8)
     u = np.zeros(model.m, dtype=np.uint8)
     u[0] = 2

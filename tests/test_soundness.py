@@ -31,7 +31,7 @@ REP3 = classical.repetition_closed_loop(3)
 
 
 def toric18():
-    return cons.hgp(REP3.h, REP3.h).css
+    return cons.hgp(REP3.h, REP3.h)
 
 
 def test_bound_functions_are_exact_rationals():
@@ -380,7 +380,7 @@ def test_find_min_batch_weight_5_matches_supports_rsh1_rep2():
     listing, not one engine against another.  The 20 achievable
     weight-4 syndromes are 7 answered at weight 5, 7 with none of
     weight <= 5, and 6 others."""
-    c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1).css
+    c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1)
     d = StabilizerModel.from_code(c).syndrome_map
     matcher = SupportMatcher.for_columns(d)
     unit = f2.columns_as_ints(f2.identity(d.shape[0]))
@@ -654,9 +654,9 @@ def test_scan_annihilator_supports_4_are_pinned(family):
     (dense ones, whose pivot sets are large), are the rows the
     pair-table engine listed, in the same order."""
     if family == "rsh1":
-        c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1).css
+        c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1)
     else:
-        c = cons.bsh(REP3, REP3, REP3, REP3).css
+        c = cons.bsh(REP3, REP3, REP3, REP3)
     d = StabilizerModel.from_code(c).syndrome_map
     rows = SupportMatcher.for_columns(f2.kernel_basis(d.T)).supports(4)
     shape, digest = SCAN_SUPPORTS_4[family]
@@ -733,7 +733,7 @@ def test_reduced_weight_ring_string_folds_back():
 @settings(max_examples=30, deadline=None)
 def test_reduced_weight_matches_span_enumeration(pauli_weight, seed):
     rng = np.random.default_rng(seed)
-    c = cons.hgp(REP2.h, REP2.h).css  # 8 qubits, 8 checks
+    c = cons.hgp(REP2.h, REP2.h)  # 8 qubits, 8 checks
     model = StabilizerModel.from_code(c)
     e = rng.integers(0, 2, 16, dtype=np.uint8)
     got = model.reduced_weight(e, budget=8)
@@ -741,8 +741,8 @@ def test_reduced_weight_matches_span_enumeration(pauli_weight, seed):
     assert got <= pauli_weight(e)
 
 
-@pytest.mark.parametrize("code", [cons.hgp(REP2.h, REP2.h).css,
-                                  cons.bssh(REP2).css],
+@pytest.mark.parametrize("code", [cons.hgp(REP2.h, REP2.h),
+                                  cons.bssh(REP2)],
                          ids=["hgp", "bssh"])
 @given(seed=st.integers(0, 2 ** 30), stabilizer=st.booleans())
 @settings(max_examples=30, deadline=None)
@@ -860,7 +860,7 @@ def test_scan_matches_combinations_scan(seed):
 
 @pytest.mark.parametrize("block", [classical._BLOCK, 3])
 def test_scan_matches_combinations_scan_rsh1_rep2(block, monkeypatch):
-    c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1).css
+    c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1)
     d = StabilizerModel.from_code(c).syndrome_map
     monkeypatch.setattr(classical, "_BLOCK", block)
     # past t = 3 the default preimage cap makes every miss a long search
@@ -909,7 +909,7 @@ def test_truncated_family_cube_bound():
     b = cons.sehgp(REP2, REP2, REP2, REP2)
     verdicts = []
     for which in (1, 2):
-        c = cons.rsh(b, which).css
+        c = cons.rsh(b, which)
         reps = [soundness_scan(m, t=2, f=quarter_cube)
                 for m in (c.hx, c.hz)]
         verdicts.append(all(r.clean for r in reps))
@@ -954,7 +954,7 @@ def test_model_shape_mismatch():
 
 def test_repair_syndrome_identity_and_single_flip(pauli):
     rot = cons.bssh(REP2)
-    model = StabilizerModel.from_code(rot.css)
+    model = StabilizerModel.from_code(rot)
     e = pauli(model.n, 5, "Z")
     s = model.syndrome(e)
     repaired, u_hat = model.repair_syndrome(s)
