@@ -18,7 +18,6 @@ def main():
     print(f"{'family':8} {'n':>4} {'checks':>6} {'k':>4} {'d':>4}  notes")
     for name, cap in TOUR:
         code = cli.build_family(name, BASE)
-        code.validate()
         n, k = code.n, code.logical_count()
         d = cons.code_distance(code, cap, k)
         notes = []

@@ -15,6 +15,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__, classical, css, matio, noisesim, soundness
 from . import constructions as cons
 
@@ -94,13 +96,18 @@ def build_family(family: str, base: classical.ClassicalCode):
     if family == "hgp":
         return cons.hgp(base.h, base.h)
     if family == "xzzx3d":
+        # the code is defined by its ring size alone
+        ring = base.n >= 2 and np.array_equal(
+            base.h, classical.repetition_closed_loop(base.n).h)
+        if not ring:
+            raise ValueError("xzzx3d takes a ring size, use --base rep:N")
         return cons.xzzx3d(base.n)
     if family in ("ssh", "bssh"):
         return getattr(cons, family)(base)
     if family in ("sehgp", "bsh"):
         return getattr(cons, family)(base, base, base, base)
     if family in ("rsh1", "rsh2", "brsh1", "brsh2"):
-        return getattr(cons, family[:-1])(cons.sehgp(base, base, base, base),
+        return getattr(cons, family[:-1])(base, base, base, base,
                                           int(family[-1]))
     raise ValueError(f"unknown family {family!r}")
 
@@ -108,10 +115,7 @@ def build_family(family: str, base: classical.ClassicalCode):
 def cmd_build(args, manifest: RunManifest) -> int:
     base, base_desc, inputs = _parse_base(args.base)
     manifest.inputs.update(inputs)
-    if args.family == "xzzx3d" and not args.base.startswith("rep:"):
-        raise ValueError("xzzx3d takes a ring size, use --base rep:N")
     code = build_family(args.family, base)
-    code.validate()
     params = {"n": code.n, "k": code.logical_count()}
     if args.max_weight:
         d = cons.code_distance(code, args.max_weight, params["k"])
@@ -223,9 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="GF(2) code family builder, verifier and simulator")
     p.add_argument("--version", action="version", version=__version__)
     shared = argparse.ArgumentParser(add_help=False)
-    for target in (p, shared):
+    # a subcommand sets seed only when given --seed, so a --seed before
+    # the subcommand is kept
+    for target, seed in ((p, None), (shared, argparse.SUPPRESS)):
         target.add_argument("--config", help="key=value defaults file")
-        target.add_argument("--seed", type=int, default=None)
+        target.add_argument("--seed", type=int, default=seed)
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=lambda **kw: argparse.ArgumentParser(
                                parents=[shared], **kw))
@@ -296,8 +302,12 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        # a key both levels know (seed) is a top-level default, which an
+        # explicit --seed at either level overrides
+        top = {a.dest for a in parser._actions}
         for sp in [parser, *sub.choices.values()]:
-            sp.set_defaults(**cfg)
+            sp.set_defaults(**{k: v for k, v in cfg.items()
+                               if (k in top) == (sp is parser)})
             for action in sp._actions:
                 if action.dest in cfg:
                     action.required = False

@@ -1,16 +1,15 @@
 """Block-matrix builders for every code family in the hierarchy:
 HGP, SEHGP, CPHR rotations, BSH, SSH/BSSH, RSH/BRSH, and the 3D XZZX code.
 
-Every builder returns one BlockTaggedCss, which keeps the construction
-structure in a banded, block-tagged form: each row band carries an X-part
-and a Z-part over the full qubit register, and the qubit register is
-split into tagged column blocks.
+Every builder composes row bands, then constructs and validates one
+BlockTaggedCss: each row band carries an X-part and a Z-part over the full
+qubit register, and the qubit register is split into tagged column blocks.
 Commutation-preserving Hadamard rotations (CPHR) swap the X- and Z-parts
-of one column block within chosen bands; after a swap a band may mix X and
-Z support, and the code is XZZX-like rather than CSS.  A BlockTaggedCss is
-itself a CssCode, stacked from its bands once and marked paired when some
-band is mixed, so every check, count and search runs on it;
-code_distance is the one whole-code distance.
+of one column block within chosen bands of a band list; after a swap a
+band may mix X and Z support, and the code is XZZX-like rather than CSS.
+A BlockTaggedCss is itself a CssCode, stacked from its bands once and
+marked paired when some band is mixed, so every check, count and search
+runs on it; code_distance is the one whole-code distance.
 
 Label notation: '@' is the Kronecker product, 'I' an identity block,
 'dk[J]' the degree-k boundary of complex J, a trailing 'T' its transpose.
@@ -45,13 +44,26 @@ class Band:
         return bool(self.x.any()) and bool(self.z.any())
 
 
+def _stack(bands: list[Band], n: int):
+    """hx, hz and the paired flag of a band list on n qubits.  With a mixed
+    band every band's X and Z parts are paired rows; otherwise hx holds the
+    nonzero X bands and hz the nonzero Z bands, in band order."""
+    paired = any(b.mixed for b in bands)
+
+    def stack(parts):
+        return (f2.block_compose([[m] for m in parts]) if parts
+                else f2.zeros(0, n))
+
+    return (stack([b.x for b in bands if paired or b.x.any()]),
+            stack([b.z for b in bands if paired or b.z.any()]), paired)
+
+
 class BlockTaggedCss(CssCode):
     """A code family instance: a CssCode that keeps its band/block structure.
 
-    The bands are stacked into hx/hz once, here.  A code with a mixed band
-    keeps every band's X and Z parts as paired rows; otherwise hx holds the
-    nonzero X bands and hz the nonzero Z bands, in band order.  No builder
-    changes a code after constructing it.
+    The bands are stacked into hx/hz (see _stack) and the code is
+    validated (css.validate_css) once, here; no builder changes a code
+    after constructing it.
 
     Attributes:
         family: One of HGP, SEHGP, BSH, SSH, BSSH, RSH1, RSH2, BRSH1,
@@ -78,26 +90,11 @@ class BlockTaggedCss(CssCode):
         meta["family"] = family
         meta["block_map"] = [{"rows": b.rows, "x": list(b.x_labels),
                               "z": list(b.z_labels)} for b in bands]
-        if any(b.mixed for b in bands):
+        hx, hz, paired = _stack(bands, n)
+        if paired:
             meta["paired_rows"] = True
-            xs, zs = [b.x for b in bands], [b.z for b in bands]
-        else:
-            meta.pop("paired_rows", None)
-            xs = [b.x for b in bands if b.x.any()]
-            zs = [b.z for b in bands if b.z.any()]
-
-        def stack(parts):
-            return (f2.block_compose([[m] for m in parts]) if parts
-                    else f2.zeros(0, n))
-
-        super().__init__(stack(xs), stack(zs), hsx=hsx, hsz=hsz, metadata=meta)
-
-    @property
-    def col_offsets(self) -> list[int]:
-        out = [0]
-        for s in self.col_sizes:
-            out.append(out[-1] + s)
-        return out
+        super().__init__(hx, hz, hsx=hsx, hsz=hsz, metadata=meta)
+        self.validate()
 
     def check_count(self) -> int:
         """Number of measured stabilizers."""
@@ -166,10 +163,12 @@ def hgp(h1, h2) -> BlockTaggedCss:
                           metadata={"inputs": [list(h1.shape), list(h2.shape)]})
 
 
-def _bands(q: ChainComplex):
+def _bands(jc: ChainComplex, kc: ChainComplex):
     """The four row bands of the SEHGP code of q = J (x) K over its
     degree-2 qubit blocks: Z bands are the degree-3 row blocks of d3^T,
     X bands the degree-1 row blocks of d2, each labelled block by block."""
+    q = tensor(jc, kc)
+    q.validate()
     cells = q.components[2]
     n = sum(s for _, _, s in cells)
     bands = []
@@ -196,11 +195,13 @@ def _bands(q: ChainComplex):
     return bands, [s for _, _, s in cells]
 
 
-def _base_metadata(codes, fallback_names) -> dict:
-    """Base code names and the identical-code premise flag, with a warning
-    when some base code breaks the premise."""
+def _base_metadata(codes) -> dict:
+    """Base code names (code0..code3, or base for a single base code, when
+    unnamed) and the identical-code premise flag, with a warning when some
+    base code breaks the premise."""
+    fallback = ["base"] if len(codes) == 1 else [f"code{i}" for i in range(4)]
     premise = all(identical_code_premise(c) for c in codes)
-    meta = {"base": [c.name or f for c, f in zip(codes, fallback_names)],
+    meta = {"base": [c.name or f for c, f in zip(codes, fallback)],
             "identical_code_premise": premise}
     if not premise:
         meta["warning"] = "identical-code premise violated; closed-form parameter identities not guaranteed"
@@ -216,64 +217,49 @@ def sehgp(x: ClassicalCode, y: ClassicalCode, z: ClassicalCode,
     from d2 (two bands).  With four identical closed-loop repetition
     inputs the counts are 6n^4 qubits, 8n^4 checks, 6k^4 logicals.
     """
-    q = tensor(j_complex(x, y), j_complex(z, w))
-    q.validate()
-    bands, col_sizes = _bands(q)
-    return BlockTaggedCss("SEHGP", bands, col_sizes, metadata=_base_metadata(
-        (x, y, z, w), [f"code{idx}" for idx in range(4)]))
+    bands, col_sizes = _bands(j_complex(x, y), j_complex(z, w))
+    return BlockTaggedCss("SEHGP", bands, col_sizes,
+                          metadata=_base_metadata((x, y, z, w)))
 
 
-def cphr(c: BlockTaggedCss, kind: str, row_bands: tuple[int, int],
-         col_band: int, validate: bool = True) -> BlockTaggedCss:
-    """Swap the X- and Z-parts of one column block in the named row bands.
+def cphr(bands: list[Band], col_sizes: list[int],
+         swaps: list[dict]) -> list[Band]:
+    """Apply CPHR swaps, in order, to a band list: each swaps the X- and
+    Z-parts of qubit column block col_band in the 1-based row_bands.
 
-    The swap is a Hadamard rotation of the column block's qubits only when
-    every band with support there is rotated together.  A swap touching a
-    strict subset of those bands generally anticommutes with the untouched
-    bands and is rejected; callers composing complementary swaps (as bsh
-    does) can defer the check to the composite with validate=False.
-
-    Args:
-        c: Input tagged code.
-        kind: 'T1' or 'T2' (recorded in the swap history; the mechanics
-            are identical, the names refer to the two standard band pairs).
-        row_bands: 1-based row band indices to rotate.
-        col_band: 1-based qubit column block.
-        validate: Re-verify commutation of the result (default True).
+    A swap is a Hadamard rotation of the block's qubits only when every
+    band with support there is rotated together; a strict subset generally
+    anticommutes with the untouched bands.  cphr constructs nothing: a
+    builder applies all its swaps, stores them as its "swaps" metadata,
+    and constructs one code, whose validation rejects such a result.  The
+    kind, "T1" or "T2", names one of the two standard band pairs.
 
     Returns:
-        A new tagged code without syndrome checks (a rotation invalidates
-        them; callers attach new ones); the input is untouched.  Applying
-        the same swap twice restores the input's bands bit-exactly.
+        New bands; the inputs are untouched.  The same swap twice restores
+        the input bands bit-exactly.
 
     Raises:
+        ValueError: for a kind other than T1 and T2.
         IndexError: for a row band or column block that does not exist.
-        css.CommutationBrokenError: if the rotated stabilizers anticommute.
     """
-    if kind not in ("T1", "T2"):
-        raise ValueError("kind must be 'T1' or 'T2'")
-    offs = c.col_offsets
-    j = col_band - 1
-    if not 0 <= j < len(c.col_sizes):
-        raise IndexError(f"no column block {col_band}")
-    sl = slice(offs[j], offs[j + 1])
-    bands = list(c.bands)
-    for bi in row_bands:
-        if not 1 <= bi <= len(bands):
-            raise IndexError(f"no row band {bi}")
-        band = bands[bi - 1]
-        x, z = band.x.copy(), band.z.copy()
-        x[:, sl], z[:, sl] = band.z[:, sl], band.x[:, sl]
-        x_labels, z_labels = list(band.x_labels), list(band.z_labels)
-        x_labels[j], z_labels[j] = band.z_labels[j], band.x_labels[j]
-        bands[bi - 1] = Band(x, z, x_labels, z_labels)
-    history = list(c.metadata.get("swaps", []))
-    history.append({"kind": kind, "row_bands": list(row_bands), "col_band": col_band})
-    out = BlockTaggedCss(c.family, bands, c.col_sizes,
-                         metadata=dict(c.metadata, swaps=history))
-    if validate:
-        out.validate()
-    return out
+    bands = list(bands)
+    for swap in swaps:
+        if swap["kind"] not in ("T1", "T2"):
+            raise ValueError("kind must be 'T1' or 'T2'")
+        j = swap["col_band"] - 1
+        if not 0 <= j < len(col_sizes):
+            raise IndexError(f"no column block {swap['col_band']}")
+        sl = slice(sum(col_sizes[:j]), sum(col_sizes[:j + 1]))
+        for bi in swap["row_bands"]:
+            if not 1 <= bi <= len(bands):
+                raise IndexError(f"no row band {bi}")
+            band = bands[bi - 1]
+            x, z = band.x.copy(), band.z.copy()
+            x[:, sl], z[:, sl] = band.z[:, sl], band.x[:, sl]
+            x_labels, z_labels = list(band.x_labels), list(band.z_labels)
+            x_labels[j], z_labels[j] = band.z_labels[j], band.x_labels[j]
+            bands[bi - 1] = Band(x, z, x_labels, z_labels)
+    return bands
 
 
 def bsh(x: ClassicalCode, y: ClassicalCode, z: ClassicalCode,
@@ -284,16 +270,17 @@ def bsh(x: ClassicalCode, y: ClassicalCode, z: ClassicalCode,
     K = j_complex(z, w).
 
     The T2 swap rotates bands 2 and 3, the T1 swap bands 1 and 4, all in
-    the big middle column block.  Each syndrome-check band is the next
-    boundary map of the product complex whose image the corresponding
-    syndrome band lies in, so the annihilation identities hold exactly
-    (validate() checks them).
+    the big middle column block; only the composite is a qubit-local basis
+    change.  Each syndrome-check band is the next boundary map of the
+    product complex whose image the corresponding syndrome band lies in,
+    so the annihilation identities hold exactly (validation checks them).
     """
-    # the two swaps jointly rotate every band's middle block; only the
-    # composite is a qubit-local basis change, so validation waits for it
-    c = cphr(sehgp(x, y, z, w), "T2", (2, 3), 2, validate=False)
-    c = cphr(c, "T1", (1, 4), 2)
     jc, kc = j_complex(x, y), j_complex(z, w)
+    bands, col_sizes = _bands(jc, kc)
+    meta = _base_metadata((x, y, z, w))
+    meta["swaps"] = [{"kind": "T2", "row_bands": [2, 3], "col_band": 2},
+                     {"kind": "T1", "row_bands": [1, 4], "col_band": 2}]
+    bands = cphr(bands, col_sizes, meta["swaps"])
     d1j, d2j = jc.boundary(1), jc.boundary(2)
     d1k, d2k = kc.boundary(1), kc.boundary(2)
     ij0, ij2 = f2.identity(jc.dim(0)), f2.identity(jc.dim(2))
@@ -310,7 +297,6 @@ def bsh(x: ClassicalCode, y: ClassicalCode, z: ClassicalCode,
         [None, f2.kron(d2j.T, ik2), None, None],
         [None, None, f2.kron(ij0, d1k), f2.kron(d1j, ik0)],
     ])
-    meta = dict(c.metadata)
     meta["syndrome_checks_exact"] = True
     meta["hsx_labels"] = [
         ["I@d2T[K]", "d2T[J]@I", "0", "0"],
@@ -326,7 +312,7 @@ def bsh(x: ClassicalCode, y: ClassicalCode, z: ClassicalCode,
                   for h in (hsx, hsz))
     vals = [d for d in (ds_x, ds_z) if not isinstance(d, LowerBound)]
     meta["d_s"] = min(vals) if vals else ds_x
-    return BlockTaggedCss("BSH", c.bands, c.col_sizes, hsx=hsx, hsz=hsz,
+    return BlockTaggedCss("BSH", bands, col_sizes, hsx=hsx, hsz=hsz,
                           metadata=meta)
 
 
@@ -338,6 +324,23 @@ def ssh(base: ClassicalCode) -> BlockTaggedCss:
     Column blocks are ordered (check-check 4n^4, bit-bit n^4) to match the
     printed two-band layout.
     """
+    return _slim(base, "SSH")
+
+
+def bssh(base: ClassicalCode) -> BlockTaggedCss:
+    """T2-rotated slim product code with the two-copy syndrome checks.
+
+    The attached hsx/hsz follow the printed diag / anti-diag two-block
+    patterns.  The underlying length-2 complex has no higher boundary, so
+    only one block of each pattern annihilates its band exactly; the
+    per-block outcome is recorded in metadata and validation relaxes the
+    annihilation requirement accordingly.
+    """
+    return _slim(base, "BSSH")
+
+
+def _slim(base: ClassicalCode, family: str) -> BlockTaggedCss:
+    """ssh(base) for family SSH, else bssh(base) under the family name."""
     jc = j_complex(base, base)
     h1 = jc.boundary(2)        # 2n^2 x n^2
     h2 = jc.boundary(1).T      # 2n^2 x n^2
@@ -353,27 +356,15 @@ def ssh(base: ClassicalCode) -> BlockTaggedCss:
         Band(f2.block_compose([hx_blocks]), f2.zeros(m1 * n2, n),
              ["I@d1[J]", "d2[J]@I"], ["0", "0"]),
     ]
-    out = BlockTaggedCss("SSH", bands, col_sizes,
-                         metadata=_base_metadata((base,), ["base"]))
-    out.validate()
-    return out
-
-
-def bssh(base: ClassicalCode) -> BlockTaggedCss:
-    """T2-rotated slim product code with the two-copy syndrome checks.
-
-    The attached hsx/hsz follow the printed diag / anti-diag two-block
-    patterns.  The underlying length-2 complex has no higher boundary, so
-    only one block of each pattern annihilates its band exactly; the
-    per-block outcome is recorded in metadata and validation relaxes the
-    annihilation requirement accordingly.
-    """
-    c = cphr(ssh(base), "T2", (1, 2), 2)
-    jc = j_complex(base, base)
+    meta = _base_metadata((base,))
+    if family == "SSH":
+        return BlockTaggedCss(family, bands, col_sizes, metadata=meta)
+    meta["swaps"] = [{"kind": "T2", "row_bands": [1, 2], "col_band": 2}]
+    bands = cphr(bands, col_sizes, meta["swaps"])
     d1j, d2j = jc.boundary(1), jc.boundary(2)
     i_n = f2.identity(jc.dim(2))
     hs_block = f2.kron(i_n, d2j.T)
-    band_rows = [b.rows for b in c.bands]
+    band_rows = [b.rows for b in bands]
     hsx = f2.block_compose([
         [f2.zeros(hs_block.shape[0], band_rows[0]), hs_block],
         [hs_block, f2.zeros(hs_block.shape[0], band_rows[1])],
@@ -383,20 +374,21 @@ def bssh(base: ClassicalCode) -> BlockTaggedCss:
         [hsz_block, f2.zeros(hsz_block.shape[0], band_rows[1])],
         [f2.zeros(hsz_block.shape[0], band_rows[0]), hsz_block],
     ])
-    exact_x = not f2.mat_mul(hsx, c.stab_x).any()
-    exact_z = not f2.mat_mul(hsz, c.stab_z).any()
-    meta = dict(c.metadata)
+    hx, hz, _ = _stack(bands, n)
+    exact_x = not f2.mat_mul(hsx, hx).any()
+    exact_z = not f2.mat_mul(hsz, hz).any()
     meta["syndrome_checks_exact"] = bool(exact_x and exact_z)
     meta["syndrome_check_annihilation"] = {"hsx": bool(exact_x), "hsz": bool(exact_z)}
     meta["hsx_labels"] = [["0", "I@d2T[J]"], ["I@d2T[J]", "0"]]
     meta["hsz_labels"] = [["d1[J]@I", "0"], ["0", "d1[J]@I"]]
     meta["d_s"] = classical.SupportMatcher.for_columns(hsz).least_weight(4)
-    return BlockTaggedCss("BSSH", c.bands, c.col_sizes, hsx=hsx, hsz=hsz,
+    return BlockTaggedCss(family, bands, col_sizes, hsx=hsx, hsz=hsz,
                           metadata=meta)
 
 
-def rsh(src: BlockTaggedCss, which: int) -> BlockTaggedCss:
-    """Two-band truncation of the four-band SEHGP code src to 5n^4 qubits.
+def rsh(x: ClassicalCode, y: ClassicalCode, z: ClassicalCode,
+        w: ClassicalCode, which: int) -> BlockTaggedCss:
+    """Two-band truncation of the code sehgp(x, y, z, w) to 5n^4 qubits.
 
     which=1 keeps the (bit-bit, middle) qubit blocks with the X band
     [I@d2[K], d1[J]@I] and Z band [d1T[J]@I, I@d2T[K]]; which=2 keeps the
@@ -405,47 +397,46 @@ def rsh(src: BlockTaggedCss, which: int) -> BlockTaggedCss:
     the column spaces, so H_RS @ H_RSH = 0 with the rank identity
     rank(H_RSH) + rows(H_RS) = band rows.
     """
+    return _truncation((x, y, z, w), which, rotate=False)
+
+
+def brsh(x: ClassicalCode, y: ClassicalCode, z: ClassicalCode,
+         w: ClassicalCode, which: int) -> BlockTaggedCss:
+    """T2 rotation of rsh(x, y, z, w, which) on its big middle column
+    block, with the syndrome checks of the rotated code."""
+    return _truncation((x, y, z, w), which, rotate=True)
+
+
+def _truncation(codes, which: int, rotate: bool) -> BlockTaggedCss:
+    """rsh, or brsh with rotate: cut, swap, then take the kernels once."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    offs = src.col_offsets
-    if which == 1:
-        cols = slice(offs[0], offs[2])
-        col_sizes = src.col_sizes[:2]
-        zband, xband = src.bands[1], src.bands[2]
-        zlabels, xlabels = zband.z_labels[:2], xband.x_labels[:2]
-    else:
-        cols = slice(offs[1], offs[3])
-        col_sizes = src.col_sizes[1:]
-        zband, xband = src.bands[0], src.bands[3]
-        zlabels, xlabels = zband.z_labels[1:], xband.x_labels[1:]
-    hz = zband.z[:, cols].copy()
-    hx = xband.x[:, cols].copy()
+    src, src_sizes = _bands(j_complex(*codes[:2]), j_complex(*codes[2:]))
+    # which=1 keeps column blocks 1-2 with bands 2 (Z) and 3 (X), which=2
+    # keeps blocks 2-3 with bands 1 (Z) and 4 (X)
+    keep = slice(which - 1, which + 1)
+    cols = slice(sum(src_sizes[:which - 1]), sum(src_sizes[:which + 1]))
+    zband, xband = (src[1], src[2]) if which == 1 else (src[0], src[3])
+    hz, hx = zband.z[:, cols], xband.x[:, cols]
+    col_sizes = src_sizes[keep]
     n = sum(col_sizes)
     bands = [
-        Band(f2.zeros(hz.shape[0], n), hz, ["0", "0"], list(zlabels)),
-        Band(hx, f2.zeros(hx.shape[0], n), list(xlabels), ["0", "0"]),
+        Band(f2.zeros(hz.shape[0], n), hz, ["0", "0"], zband.z_labels[keep]),
+        Band(hx, f2.zeros(hx.shape[0], n), xband.x_labels[keep], ["0", "0"]),
     ]
-    hsx = f2.kernel_basis(hx.T)
-    hsz = f2.kernel_basis(hz.T)
-    meta = dict(src.metadata)
-    meta.pop("swaps", None)
+    meta = _base_metadata(codes)
     meta["syndrome_checks_exact"] = True
     meta["syndrome_checks_numeric"] = True
-    tagged = BlockTaggedCss(f"RSH{which}", bands, col_sizes,
-                            hsx=hsx, hsz=hsz, metadata=meta)
-    tagged.validate()
-    return tagged
-
-
-def brsh(src: BlockTaggedCss, which: int) -> BlockTaggedCss:
-    """T2 rotation of rsh(src, which) on its big middle column block."""
-    c = rsh(src, which)
-    big = 2 if which == 1 else 1
-    out = cphr(c, "T2", (1, 2), big)
-    return BlockTaggedCss(f"BRSH{which}", out.bands, out.col_sizes,
-                          hsx=f2.kernel_basis(out.stab_x.T),
-                          hsz=f2.kernel_basis(out.stab_z.T),
-                          metadata=out.metadata)
+    if rotate:
+        # the big middle block is the second kept block for which=1
+        meta["swaps"] = [{"kind": "T2", "row_bands": [1, 2],
+                          "col_band": 3 - which}]
+        bands = cphr(bands, col_sizes, meta["swaps"])
+    hx, hz, _ = _stack(bands, n)
+    family = ("BRSH" if rotate else "RSH") + str(which)
+    return BlockTaggedCss(family, bands, col_sizes,
+                          hsx=f2.kernel_basis(hx.T), hsz=f2.kernel_basis(hz.T),
+                          metadata=meta)
 
 
 def xzzx3d(n: int) -> BlockTaggedCss:
@@ -458,9 +449,7 @@ def xzzx3d(n: int) -> BlockTaggedCss:
     """
     if n < 2:
         raise ValueError("xzzx3d needs n >= 2")
-    c = bssh(classical.repetition_closed_loop(n))
-    return BlockTaggedCss("XZZX3D", c.bands, c.col_sizes, hsx=c.hsx,
-                          hsz=c.hsz, metadata=c.metadata)
+    return _slim(classical.repetition_closed_loop(n), "XZZX3D")
 
 
 def code_distance(c: CssCode, max_weight: int, k: int | None = None):

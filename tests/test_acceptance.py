@@ -101,7 +101,8 @@ def sehgp_witness(base):
     unit = np.zeros(k.dim(0), dtype=np.uint8)
     unit[0] = 1
     v = np.zeros(t.n, dtype=np.uint8)
-    v[t.col_offsets[block]:t.col_offsets[block + 1]] = np.kron(
+    lo = sum(t.col_sizes[:block])
+    v[lo:lo + t.col_sizes[block]] = np.kron(
         np.ones(j.dim(2), dtype=np.uint8), unit)
     return v
 
@@ -135,8 +136,10 @@ def test_criterion_04_cphr_validity(tagged_equals):
     t = cons.sehgp(REP2, REP2, REP2, REP2)
     rot = cons.bsh(REP2, REP2, REP2, REP2)
     rot.validate()
-    half = cons.cphr(t, "T2", (2, 3), 2, validate=False)
-    undone = cons.cphr(half, "T2", (2, 3), 2, validate=False)
+    swap = [{"kind": "T2", "row_bands": [2, 3], "col_band": 2}]
+    half = cons.cphr(t.bands, t.col_sizes, swap)
+    undone = cons.BlockTaggedCss("SEHGP", cons.cphr(half, t.col_sizes, swap),
+                                 t.col_sizes)
     verdict(4, [
         ("rotated code validates", True),
         ("n unchanged", rot.n == t.n),
@@ -167,13 +170,12 @@ def test_criterion_05_ssh_bssh(brute_distance):
 
 def test_criterion_06_rsh_brsh(brute_distance, brute_betti):
     checks = []
-    b = cons.sehgp(REP2, REP2, REP2, REP2)
     j, k = cons.j_complex(REP2, REP2), cons.j_complex(REP2, REP2)
     d1j, d2j = j.boundary(1), j.boundary(2)
     d1k, d2k = k.boundary(1), k.boundary(2)
     # rsh1 is the product of d1[J] with d2[K], rsh2 of d2[J] with d1[K]
     for which, (hj, hk) in ((1, (d1j, d2k)), (2, (d2j, d1k))):
-        t = cons.rsh(b, which)
+        t = cons.rsh(REP2, REP2, REP2, REP2, which)
         k, d = hgp_law(hj, hk.T, brute_distance)
         kunneth = brute_betti(
             complexes.tensor(ChainComplex([hj]), ChainComplex([hk])), 1)
@@ -221,10 +223,9 @@ def test_criterion_08_soundness_scans():
     comp = soundness_scan(f2.block_compose([[q.boundary(2), None],
                                             [None, q.boundary(3).T.copy()]]),
                           t=2, f=quarter_square).clean
-    b = cons.sehgp(REP2, REP2, REP2, REP2)
     cubic = []
     for which in (1, 2):
-        c = cons.rsh(b, which)
+        c = cons.rsh(REP2, REP2, REP2, REP2, which)
         cubic.append(all(soundness_scan(m, t=2, f=quarter_cube).clean
                          for m in (c.hx, c.hz)))
     verdict(8, [

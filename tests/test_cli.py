@@ -7,6 +7,7 @@ import json
 import pytest
 
 from codeforge import __version__, cli, css
+from codeforge import constructions as cons
 from codeforge.cli import FAMILIES, main
 
 
@@ -78,6 +79,29 @@ def test_build_counts_logicals_once(tmp_path, capsys, monkeypatch):
             assert code == 1 and out == ""
             assert err == "error: code has no logical qubits\n"
         assert not (tmp_path / family).exists()
+
+
+def test_every_family_constructs_and_validates_one_code(tmp_path, capsys,
+                                                       monkeypatch):
+    calls = []
+    init, validate = cons.BlockTaggedCss.__init__, css.validate_css
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("construct")
+        init(self, *args, **kwargs)
+
+    def counted_validate(c):
+        calls.append("validate")
+        validate(c)
+
+    monkeypatch.setattr(cons.BlockTaggedCss, "__init__", counted_init)
+    monkeypatch.setattr(css, "validate_css", counted_validate)
+    for fam in FAMILIES:
+        calls.clear()
+        code, _, err = run(capsys, "build", "--family", fam, "--base",
+                           "rep:2", "--out", str(tmp_path / fam))
+        assert code == 0, (fam, err)
+        assert calls == ["construct", "validate"], (fam, calls)
 
 
 def test_build_bsh_rep4_syndrome_distance(tmp_path, capsys):
@@ -526,6 +550,50 @@ def test_build_rejects_bad_alist_base(tmp_path, capsys, text, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "b").exists()
+
+
+def test_xzzx3d_rejects_a_base_that_is_not_a_ring(tmp_path, capsys):
+    # xzzx3d is defined by a ring size; an alist of another code must not
+    # give the numbers of the ring of its length
+    eye = tmp_path / "eye.alist"
+    eye.write_text("2 2\n1 1\n1 1\n1 1\n1\n2\n1\n2\n")
+    rep3 = tmp_path / "rep3open.alist"
+    rep3.write_text(REP3_OPEN)
+    for path in (eye, rep3):
+        for cmd in (["build", "--out", str(tmp_path / "x")], ["params"]):
+            code, out, err = run(capsys, *cmd, "--family", "xzzx3d",
+                                 "--base", f"alist:{path}")
+            assert code == 1 and out == ""
+            assert err == "error: xzzx3d takes a ring size, use --base rep:N\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("before, after, want", [
+    (("--seed", "3"), (), 3),
+    ((), ("--seed", "3"), 3),
+    (("--seed", "3", "--config", "CFG"), (), 3),
+    (("--config", "CFG"), ("--seed", "3"), 3),
+    (("--config", "CFG"), (), 11),
+])
+def test_seed_at_either_level_beats_config(tmp_path, capsys, before, after,
+                                           want):
+    bundle = build_bundle(tmp_path, capsys, family="bssh", base="rep:2")
+    cfg = tmp_path / "forge.cfg"
+    cfg.write_text("seed = 11\n")
+    before = [str(cfg) if a == "CFG" else a for a in before]
+    csv_path = tmp_path / "s.csv"
+    code, out, err = run(capsys, *before, "simulate", "--code", str(bundle),
+                         "--p", "0.05", "--trials", "3", "--out",
+                         str(csv_path), *after)
+    assert code == 0, err
+    assert json.loads(out)["seed"] == want
+    m = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert m["seed"] == want
+    code, ref, _ = run(capsys, "simulate", "--code", str(bundle), "--p",
+                       "0.05", "--trials", "3", "--seed", str(want), "--out",
+                       str(tmp_path / "ref.csv"))
+    assert code == 0 and out == ref
+    assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_version_flag(capsys):

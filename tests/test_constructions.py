@@ -1,5 +1,6 @@
 """Code family builders: HGP, SEHGP, CPHR rotations, BSH, SSH/BSSH,
 RSH/BRSH and the 3D XZZX instance."""
+import copy
 import hashlib
 import itertools
 
@@ -87,34 +88,47 @@ def test_sehgp_true_distance_is_d_squared():
     assert cons.code_distance(c, 4) == 4
 
 
+# the two swaps of bsh; each alone rotates a strict subset of the bands
+# with support on the middle column block
+T2_MIDDLE = {"kind": "T2", "row_bands": [2, 3], "col_band": 2}
+T1_MIDDLE = {"kind": "T1", "row_bands": [1, 4], "col_band": 2}
+
+
 def test_cphr_involution_and_validation(tagged_equals):
     t = cons.ssh(REP2)
-    once = cons.cphr(t, "T2", (1, 2), 2)
-    once.validate()
-    twice = cons.cphr(once, "T2", (1, 2), 2)
-    assert tagged_equals(twice, t)
-    assert once.metadata["swaps"] != []
+    swap = [{"kind": "T2", "row_bands": [1, 2], "col_band": 2}]
+    once = cons.cphr(t.bands, t.col_sizes, swap)
+    cons.BlockTaggedCss("SSH", once, t.col_sizes).validate()
+    twice = cons.cphr(once, t.col_sizes, swap)
+    assert tagged_equals(cons.BlockTaggedCss("SSH", twice, t.col_sizes), t)
+    rot = cons.bssh(REP2)
+    assert [(b.x.tolist(), b.z.tolist()) for b in rot.bands] == [
+        (b.x.tolist(), b.z.tolist()) for b in once]
+    assert rot.metadata["swaps"] == swap
 
 
 def test_cphr_rejects_commutation_breaking_swap(tagged_equals):
     # rotating only bands 2-3 of the four-band code anticommutes with the
     # untouched bands 1 and 4; only the composite of both swaps is valid
     t = sehgp2()
+    half = cons.cphr(t.bands, t.col_sizes, [T2_MIDDLE])
     with pytest.raises(css.CommutationBrokenError):
-        cons.cphr(t, "T2", (2, 3), 2)
-    half = cons.cphr(t, "T2", (2, 3), 2, validate=False)
-    full = cons.cphr(half, "T1", (1, 4), 2)
-    full.validate()
-    # deferred-validation swap is still an involution
-    assert tagged_equals(cons.cphr(half, "T2", (2, 3), 2, validate=False), t)
+        cons.BlockTaggedCss("SEHGP", half, t.col_sizes)
+    full = cons.cphr(half, t.col_sizes, [T1_MIDDLE])
+    cons.BlockTaggedCss("BSH", full, t.col_sizes).validate()
+    # the half swap is still an involution
+    undone = cons.cphr(half, t.col_sizes, [T2_MIDDLE])
+    assert tagged_equals(cons.BlockTaggedCss("SEHGP", undone, t.col_sizes), t)
 
 
 def test_cphr_rejects_out_of_range_row_bands():
     # band 0 and negative bands must not index from the end of the list
-    half = cons.cphr(sehgp2(), "T2", (2, 3), 2, validate=False)
+    t = sehgp2()
+    half = cons.cphr(t.bands, t.col_sizes, [T2_MIDDLE])
     for rows in ((-3, 0), (1, 0), (1, 5)):
         with pytest.raises(IndexError, match="no row band"):
-            cons.cphr(half, "T1", rows, 2)
+            cons.cphr(half, t.col_sizes,
+                      [dict(T1_MIDDLE, row_bands=list(rows))])
 
 
 def test_bsh_structure():
@@ -219,9 +233,8 @@ def test_premise_warning_metadata():
 
 
 def test_rsh_families():
-    b = sehgp2()
     for which in (1, 2):
-        t = cons.rsh(b, which)
+        t = cons.rsh(REP2, REP2, REP2, REP2, which)
         t.validate()
         assert t.n == 80 and t.check_count() == 64
         assert t.logical_count() == 26
@@ -234,9 +247,8 @@ def test_rsh_families():
 
 
 def test_brsh_families():
-    b = sehgp2()
     for which in (1, 2):
-        t = cons.brsh(b, which)
+        t = cons.brsh(REP2, REP2, REP2, REP2, which)
         t.validate()
         assert t.paired
         assert t.n == 80
@@ -248,7 +260,7 @@ def test_sehgp_block_truncations_keep_k_and_d():
     blocks of 80 qubits (64 checks, the 5n^4 size) either anticommutes or
     has k >= 26 and d <= 2: removing blocks does not give k=2 or d=4."""
     t = sehgp2()
-    offs = t.col_offsets
+    offs = np.cumsum([0] + t.col_sizes)
     choices = [(cols, bands)
                for cols in itertools.combinations(range(3), 2)
                if sum(t.col_sizes[c] for c in cols) == 80
@@ -289,24 +301,15 @@ def _state(c):
     return bands, c.hx.tolist(), c.hz.tolist(), c.metadata
 
 
-def test_builders_leave_their_sehgp_input_alone(monkeypatch):
-    # bsh builds its sehgp input itself; keep it to look at afterwards
-    fresh = _state(sehgp2())
-    real, inputs = cons.sehgp, []
-
-    def kept_sehgp(*codes):
-        inputs.append(real(*codes))
-        return inputs[-1]
-
-    monkeypatch.setattr(cons, "sehgp", kept_sehgp)
-    cons.bsh(REP2, REP2, REP2, REP2)
+def test_cphr_leaves_its_input_alone():
     src = sehgp2()
-    for which in (1, 2):
-        cons.rsh(src, which)
-        cons.brsh(src, which)
-    assert len(inputs) == 2
-    for c in inputs:
-        assert _state(c) == fresh
+    fresh = _state(src)
+    swaps = [T2_MIDDLE, T1_MIDDLE]
+    kept = copy.deepcopy(swaps)
+    out = cons.cphr(src.bands, src.col_sizes, swaps)
+    assert all(b.mixed for b in out)
+    assert _state(src) == fresh
+    assert swaps == kept
 
 
 def test_xzzx3d_equals_bssh(tagged_equals):

@@ -380,7 +380,7 @@ def test_find_min_batch_weight_5_matches_supports_rsh1_rep2():
     listing, not one engine against another.  The 20 achievable
     weight-4 syndromes are 7 answered at weight 5, 7 with none of
     weight <= 5, and 6 others."""
-    c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1)
+    c = cons.rsh(REP2, REP2, REP2, REP2, 1)
     d = StabilizerModel.from_code(c).syndrome_map
     matcher = SupportMatcher.for_columns(d)
     unit = f2.columns_as_ints(f2.identity(d.shape[0]))
@@ -654,7 +654,7 @@ def test_scan_annihilator_supports_4_are_pinned(family):
     (dense ones, whose pivot sets are large), are the rows the
     pair-table engine listed, in the same order."""
     if family == "rsh1":
-        c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1)
+        c = cons.rsh(REP2, REP2, REP2, REP2, 1)
     else:
         c = cons.bsh(REP3, REP3, REP3, REP3)
     d = StabilizerModel.from_code(c).syndrome_map
@@ -860,7 +860,7 @@ def test_scan_matches_combinations_scan(seed):
 
 @pytest.mark.parametrize("block", [classical._BLOCK, 3])
 def test_scan_matches_combinations_scan_rsh1_rep2(block, monkeypatch):
-    c = cons.rsh(cons.sehgp(REP2, REP2, REP2, REP2), 1)
+    c = cons.rsh(REP2, REP2, REP2, REP2, 1)
     d = StabilizerModel.from_code(c).syndrome_map
     monkeypatch.setattr(classical, "_BLOCK", block)
     # past t = 3 the default preimage cap makes every miss a long search
@@ -906,10 +906,9 @@ def test_composite_direct_sum_scan():
 
 def test_truncated_family_cube_bound():
     # at least one of the two truncations satisfies the cubic bound
-    b = cons.sehgp(REP2, REP2, REP2, REP2)
     verdicts = []
     for which in (1, 2):
-        c = cons.rsh(b, which)
+        c = cons.rsh(REP2, REP2, REP2, REP2, which)
         reps = [soundness_scan(m, t=2, f=quarter_cube)
                 for m in (c.hx, c.hz)]
         verdicts.append(all(r.clean for r in reps))
