@@ -9,6 +9,7 @@ k = n - rank(h); its distance up to a cap is one least_weight search.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ _KEY_SEED = 0x2545F4914F6CDD1D
 _BLOCK = 1 << 16
 
 
+@functools.lru_cache(maxsize=None)
 def _key_tables(nbytes: int) -> np.ndarray:
     """(nbytes, 256) uint64 tables of the support-search key.
 
@@ -53,6 +55,7 @@ def _key_tables(nbytes: int) -> np.ndarray:
     tables = np.zeros((nbytes, 256), dtype=np.uint64)
     for k in range(8):
         tables[:, 1 << k:2 << k] = tables[:, :1 << k] ^ basis[:, k, None]
+    tables.flags.writeable = False  # one cached copy serves every caller
     return tables
 
 
@@ -231,20 +234,21 @@ class SupportMatcher:
         return weight, rows
 
     def _bits(self):
-        """(order, ranked, starts, holders, dead): the bit index.  Bits
-        are ranked by how many entries hold them, fewest first: rank r
-        is bit order[r], held by entries holders[starts[r]:starts[r + 1]]
-        in increasing order (none below rank dead); ranked is the
-        entries' words in rank order (_ranked)."""
+        """(rank, ranked, starts, holders, dead): the bit index.  Bits
+        are ranked by how many entries hold them, fewest first: bit b has
+        rank rank[b], and rank r is held by entries holders[starts[r]:
+        starts[r + 1]] in increasing order (none below rank dead); ranked
+        is the entries' words in rank order (_ranked)."""
         if self._bit_index is None:
             words = self._tables()[0]
-            held = _unpack(words)
-            count = held.sum(axis=0)
+            bit, entry = _set_bits(words)
+            count = np.bincount(bit, minlength=64 * len(words))
             order = np.argsort(count, kind="stable")
+            rank = np.argsort(order)
             starts = np.zeros(len(order) + 1, dtype=np.intp)
             np.cumsum(count[order], out=starts[1:])
-            self._bit_index = (order, _ranked(words, order), starts,
-                               held.take(order, axis=1).T.nonzero()[1],
+            self._bit_index = (rank, _ranked(words, rank), starts,
+                               entry[np.lexsort((entry, rank[bit]))],
                                int(np.count_nonzero(count == 0)))
         return self._bit_index
 
@@ -380,17 +384,25 @@ def _pack(values, tables: np.ndarray):
     return keys, raw.view("<u8").T
 
 
-def _unpack(words: np.ndarray) -> np.ndarray:
-    """The bits of each column of words (W, count) as a uint8 row: bit
-    64k + j is bit j of word k."""
-    return np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8),
-                         axis=1, bitorder="little")
+def _set_bits(words: np.ndarray):
+    """(bit, column) of every set bit of words (W, count), bit 64k + j
+    being bit j of word k, by column then bit; only nonzero bytes unpack."""
+    raw = np.ascontiguousarray(words.T).view(np.uint8)
+    at = np.flatnonzero(raw)
+    held = np.flatnonzero(np.unpackbits(raw.ravel()[at][:, None], axis=1,
+                                        bitorder="little"))
+    col, byte = np.divmod(at[held >> 3], raw.shape[1])
+    return 8 * byte + (held & 7), col
 
 
-def _ranked(words: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """words (W, count), bit r of each column moved from bit order[r]."""
-    return np.packbits(_unpack(words).take(order, axis=1), axis=1,
-                       bitorder="little").view("<u8").T
+def _ranked(words: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """words (W, count), each set bit b of a column moved to bit rank[b]."""
+    bit, col = _set_bits(words)
+    r = rank[bit]
+    out = np.zeros(words.shape, dtype=np.uint64)
+    np.bitwise_or.at(out, (r >> 6, col),
+                     np.left_shift(np.uint64(1), (r & 63).astype(np.uint64)))
+    return out
 
 
 def _spans(base: np.ndarray, count: np.ndarray):

@@ -167,8 +167,8 @@ def _bands(jc: ChainComplex, kc: ChainComplex):
     """The four row bands of the SEHGP code of q = J (x) K over its
     degree-2 qubit blocks: Z bands are the degree-3 row blocks of d3^T,
     X bands the degree-1 row blocks of d2, each labelled block by block."""
+    # tensor validates both factors, and their product always chains
     q = tensor(jc, kc)
-    q.validate()
     cells = q.components[2]
     n = sum(s for _, _, s in cells)
     bands = []
@@ -334,8 +334,13 @@ def bssh(base: ClassicalCode) -> BlockTaggedCss:
     patterns.  The underlying length-2 complex has no higher boundary, so
     only one block of each pattern annihilates its band exactly; the
     per-block outcome is recorded in metadata and validation relaxes the
-    annihilation requirement accordingly.
+    annihilation requirement accordingly.  The patterns swap the two
+    bands, whose heights differ unless the base check matrix is square,
+    so any other base raises ValueError.
     """
+    if base.h.shape[0] != base.h.shape[1]:
+        raise ValueError("bssh needs a square base check matrix, got "
+                         "{}x{}".format(*base.h.shape))
     return _slim(base, "BSSH")
 
 

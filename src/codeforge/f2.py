@@ -71,6 +71,8 @@ def weight(v) -> int:
 
 # gathered packed rows per chunk of nonzeros, in uint64 words (8 MB)
 _GATHER_WORDS = 2 ** 20
+# products of at most this many multiply-adds are one exact float32 call
+_BLAS_MACS = 2 ** 20
 
 
 def mat_mul(a, b) -> np.ndarray:
@@ -83,7 +85,9 @@ def mat_mul(a, b) -> np.ndarray:
     temporaries stay bounded whatever the density.  The trade favours
     sparse a: on a 2-CPU host the 1024x1536 by 1536x1024 sehgp rep:4
     product hx @ hz.T takes about 2 ms (60 ms as a float32 BLAS product),
-    a dense random 1000x1000 square about 90 ms (35 ms).
+    a dense random 1000x1000 square about 90 ms (35 ms).  A product of at
+    most _BLAS_MACS multiply-adds, a decoder batch say, is one float32
+    BLAS call instead, which skips that set-up.
 
     Args:
         a: Left matrix, shape (m, r).
@@ -102,6 +106,9 @@ def mat_mul(a, b) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
     n = b.shape[1]
+    if a.shape[0] * a.shape[1] * n <= _BLAS_MACS:
+        return (a.astype(np.float32) @ b.astype(np.float32) % 2).astype(
+            np.uint8)
     words = -(-n // 64)
     out = np.zeros((a.shape[0], words), dtype=np.uint64)
     # a's entries are 0/1, so its bool view is exact; flat order is row-major

@@ -125,14 +125,20 @@ CSV_COLUMNS = ["trial", "ex_weight", "ez_weight", "u_weight", "residual",
                "logical_fail", "in_regime"]
 
 
+# trials decoded together; bounds the batch arrays at large trial counts
+TRIAL_BLOCK = 1024
+
+
 def run_experiment(code, model: NoiseModel, trials: int, seed: int,
                    f=quarter_square, regime_p: Fraction | None = None,
                    regime_q: Fraction | None = None, budget: int = 4,
                    out_csv=None):
     """Monte Carlo single-shot decoding, deterministic given the seed.
 
-    Per trial: sample a data error and outcome flips, run the two-stage
-    decoder, reduce the residual, and classify the outcome.  A residual is
+    Each trial samples a data error and outcome flips from its own
+    stream; blocks of TRIAL_BLOCK trials are decoded with one batched
+    search per stage, which answers each trial as a search for it alone
+    would, and each outcome is then classified.  A residual is
     a logical failure when it commutes with every check but is not a
     stabilizer.  When the regime thresholds are given, a trial is
     in-regime iff |u| < regime_p and f(2 |u|) + |e| < regime_q.
@@ -157,34 +163,33 @@ def run_experiment(code, model: NoiseModel, trials: int, seed: int,
     if model.q_meas > 0.0 and not sm._meta_tools()[0].shape[0]:
         raise ValueError("q_meas > 0 needs redundant checks to repair against")
     records = []
-    failures = 0
-    in_regime_total = 0
-    in_regime_pass = 0
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        e = sample_error(model, sm.n, rng)
-        ex, ez = e[:sm.n], e[sm.n:]
-        u = sample_flips(model.q_meas, sm.m, rng)
-        uw = f2.weight(u)
-        residual = decode_residual(sm, e, u, budget)
-        if residual is None:
-            rw, passed, logical = LowerBound(budget), False, False
-        else:
-            rw = sm.reduced_weight(residual, budget)
-            passed = (not isinstance(rw, LowerBound)
-                      and Fraction(rw) <= f(2 * uw))
-            # a LowerBound is never 0: only a stabilizer reduces to 0
-            logical = not sm.syndrome(residual).any() and rw != 0
-        regime = False
-        if regime_p is not None and regime_q is not None:
-            regime = (Fraction(uw) < regime_p
-                      and f(2 * uw) + f2.weight(ex | ez) < regime_q)
-        records.append(TrialRecord(trial, f2.weight(ex), f2.weight(ez), uw,
-                                   rw, logical, regime))
-        failures += logical
-        if regime:
-            in_regime_total += 1
-            in_regime_pass += passed
+    failures = in_regime_total = in_regime_pass = 0
+    for start in range(0, trials, TRIAL_BLOCK):
+        block = range(start, min(start + TRIAL_BLOCK, trials))
+        rngs = [_trial_rng(seed, trial) for trial in block]
+        e = np.array([sample_error(model, sm.n, rng) for rng in rngs])
+        u = np.array([sample_flips(model.q_meas, sm.m, rng) for rng in rngs])
+        residual, decoded = decode_residual(sm, e.T, u.T, budget)
+        rw = np.full(len(block), -1)
+        rw[decoded] = sm.reduced_weight(residual[:, decoded], budget)
+        # a weight above budget is never 0: only a stabilizer reduces to 0
+        logical = decoded & (rw != 0) & ~f2.mat_mul(
+            sm.syndrome_map, residual).any(axis=0)
+        ex, ez = e[:, :sm.n], e[:, sm.n:]
+        for trial, exw, ezw, ew, uw, w, fail in zip(
+                block, ex.sum(axis=1).tolist(), ez.sum(axis=1).tolist(),
+                (ex | ez).sum(axis=1).tolist(), u.sum(axis=1).tolist(),
+                rw.tolist(), logical.tolist()):
+            regime = (regime_p is not None and regime_q is not None
+                      and Fraction(uw) < regime_p
+                      and f(2 * uw) + ew < regime_q)
+            records.append(TrialRecord(
+                trial, exw, ezw, uw, LowerBound(budget) if w < 0 else w,
+                fail, regime))
+            failures += fail
+            if regime:
+                in_regime_total += 1
+                in_regime_pass += w >= 0 and Fraction(w) <= f(2 * uw)
     summary = {
         "trials": trials,
         "seed": seed,

@@ -13,7 +13,9 @@ which every support holds, XORs each away and repeats on the rest,
 down to one key lookup in the sorted entries.  Among the supports of
 least weight it returns the lexicographically first one in
 sorted-entry order, so a decoder's output is fixed by its entries and
-its target alone.  The decoder asks for one target at a time; the scan
+its target alone, whatever else is in its batch.  Each decoder stage
+(repair_syndrome, min_weight_decode, reduced_weight) takes a batch of
+trials, one per column, and answers it with one batch search; the scan
 lists the achievable syndromes of one weight with the same descent and
 answers all of them in one batch.
 
@@ -58,16 +60,12 @@ class LemmaContradictionError(AssertionError):
     violation; this signals an implementation bug, not a bad code."""
 
 
-def _pack_vec(v: np.ndarray) -> int:
-    """Pack a binary vector into an int, consistent with columns_as_ints."""
-    return f2.columns_as_ints(f2.as_f2_vector(v).reshape(-1, 1))[0]
-
-
 class StabilizerModel:
     """Uniform symplectic view of a stabilizer code for decoding.
 
     A Pauli error is one uint8 vector (ex | ez) of length 2n: e[q] is
-    the X bit and e[n + q] the Z bit of qubit q, so Y sets both.  Check
+    the X bit and e[n + q] the Z bit of qubit q, so Y sets both.  The
+    decoder stages take batches, one error or syndrome a column.  Check
     i has an X part and a Z part (one of them zero for ordinary CSS
     rows); its outcome on e is xpart_i . ez + zpart_i . ex, one row of
     the syndrome map [zpart | xpart].  Lazily cached:
@@ -97,9 +95,6 @@ class StabilizerModel:
         bundle it exports give the same model row for row."""
         return cls(code.stab_x, code.stab_z)
 
-    def syndrome(self, e: np.ndarray) -> np.ndarray:
-        return f2.mat_vec(self.syndrome_map, e)
-
     # generator rows in (ex | ez) coordinates: multiplying a stabilizer
     # into an error XORs its X part into ex and its Z part into ez
     def _gens(self) -> np.ndarray:
@@ -127,43 +122,58 @@ class StabilizerModel:
             self._meta = (ann, SupportMatcher.for_columns(ann))
         return self._meta
 
-    def reduced_weight(self, e: np.ndarray, budget: int = 4):
-        """Minimum Pauli weight over the stabilizer coset of e.
-
-        Weight-ordered search: a coset element of weight w exists iff some
-        w qubits carry Paulis whose membership columns XOR to the class
-        label of e.  Exact when found within budget, else a lower bound;
-        0 exactly when e is a stabilizer.
-        """
+    def reduced_weight(self, e, budget: int = 4) -> np.ndarray:
+        """Minimum Pauli weight over the stabilizer coset of each column
+        of e (0 exactly for a stabilizer), or -1 where it exceeds budget.
+        A coset element of weight w exists iff some w qubits carry Paulis
+        whose membership columns XOR to the class label of e."""
         member, matcher = self._coset_tools()
-        target = _pack_vec(f2.mat_vec(member, e))
-        w, _ = matcher.find_min(target, budget)
-        return LowerBound(budget) if w is None else w
+        return _find_min(matcher, f2.mat_mul(member, _batch(e)), budget)[0]
 
-    def min_weight_decode(self, s: np.ndarray, budget: int = 4):
-        """Minimum-weight error (ex | ez) with syndrome s, or None."""
-        matcher = self._decode_tools()
-        w, supp = matcher.find_min(_pack_vec(s), budget)
-        if w is None:
-            return None
-        # rows ex and ez; X and Y set the X bit, Z and Y the Z bit
-        e = np.zeros((2, self.n), dtype=np.uint8)
-        for q, p in supp:
-            e[:, q] = (p != "Z", p != "X")
-        return e.ravel()
+    def min_weight_decode(self, s, budget: int = 4):
+        """(e_hat, found): column t of e_hat is a minimum-weight error
+        (ex | ez) with syndrome s[:, t], or 0 where found[t] is False
+        because none has weight <= budget."""
+        weight, pick = _find_min(self._decode_tools(), _batch(s), budget)
+        # a qubit's entries are X, Y, Z in that order; X and Y set its X
+        # bit, Y and Z its Z bit
+        x, y, z = pick[0::3], pick[1::3], pick[2::3]
+        return np.concatenate([x | y, y | z]), weight >= 0
 
-    def repair_syndrome(self, s: np.ndarray, budget: int = 4):
-        """Minimum outcome flips making s achievable: (repaired, u_hat)."""
+    def repair_syndrome(self, s, budget: int = 4):
+        """(repaired, found): column t of repaired is s[:, t] with the
+        fewest outcome flips that make it achievable, or s[:, t] itself
+        where found[t] is False because more than budget are needed."""
         ann, matcher = self._meta_tools()
-        resid = f2.mat_vec(ann, s)
-        u_hat = np.zeros(self.m, dtype=np.uint8)
-        if resid.any():
-            w, supp = matcher.find_min(_pack_vec(resid), budget)
-            if w is None:
-                return None, None
-            for i, _ in supp:
-                u_hat[i] = 1
-        return s ^ u_hat, u_hat
+        s = _batch(s)
+        resid = f2.mat_mul(ann, s)
+        # only syndromes that are not achievable need a search
+        live = resid.any(axis=0).nonzero()[0]
+        weight, pick = _find_min(matcher, resid[:, live], budget)
+        repaired, found = s.copy(), np.ones(s.shape[1], dtype=bool)
+        # entry j of the column matcher is outcome bit j
+        repaired[:, live] ^= pick
+        found[live] = weight >= 0
+        return repaired, found
+
+
+def _batch(a) -> np.ndarray:
+    """a as a batch of GF(2) columns; a vector is a batch of one."""
+    a = np.asarray(a)
+    return f2.as_f2_vector(a)[:, None] if a.ndim == 1 else f2.as_f2(a)
+
+
+def _find_min(matcher: SupportMatcher, targets: np.ndarray, budget: int):
+    """find_min_batch over the columns of targets as (weight, pick):
+    pick (entries x targets) is 1 at the support found for column t."""
+    pick = np.zeros((len(matcher.entries), targets.shape[1]), dtype=np.uint8)
+    if not targets.shape[1]:
+        return np.zeros(0, dtype=np.int64), pick
+    weight, rows = matcher.find_min_batch(
+        *matcher.pack(f2.columns_as_ints(targets)), budget)
+    t, j = (rows >= 0).nonzero()
+    pick[rows[t, j], t] = 1
+    return weight, pick
 
 
 @dataclass
@@ -279,16 +289,17 @@ def inheritance_check(d, n: int, t: int, f=quarter_square) -> SoundnessReport:
     return merged
 
 
-def decode_residual(model: StabilizerModel, e: np.ndarray, u: np.ndarray,
-                    budget: int = 4):
-    """Residual error e ^ e_hat of the two-stage decoder, or None when a
-    repair or decode search exhausts its budget.  e, e_hat and the
-    residual are (ex | ez) vectors of length 2n; u flips the outcomes."""
-    observed = model.syndrome(e) ^ f2.as_f2_vector(u)
-    repaired, _ = model.repair_syndrome(observed, budget)
-    if repaired is None:
-        return None
-    e_hat = model.min_weight_decode(repaired, budget)
-    if e_hat is None:
-        return None
-    return e ^ e_hat
+def decode_residual(model: StabilizerModel, e, u, budget: int = 4):
+    """(residual, decoded) of the two-stage decoder on a batch of trials,
+    one per column of e (ex | ez) and of the outcome flips u: column t
+    is e ^ e_hat, or e itself where a repair or decode search exhausted
+    its budget and decoded[t] is False."""
+    e = _batch(e)
+    observed = f2.mat_mul(model.syndrome_map, e) ^ _batch(u)
+    repaired, decoded = model.repair_syndrome(observed, budget)
+    live = decoded.nonzero()[0]
+    e_hat, found = model.min_weight_decode(repaired[:, live], budget)
+    residual = e.copy()
+    residual[:, live] ^= e_hat
+    decoded[live] = found
+    return residual, decoded

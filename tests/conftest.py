@@ -7,7 +7,7 @@ import pytest
 
 from codeforge import f2
 from codeforge.classical import LowerBound
-from codeforge.soundness import decode_residual, quarter_square
+from codeforge.soundness import quarter_square
 
 
 def _tanner_components(m):
@@ -55,16 +55,67 @@ def _pauli_weight(e):
 
 
 def _single_shot_trial(model, e, u, budget=4):
-    """One noisy-readout decode: (residual reduced weight, bound met).
+    """One noisy-readout decode, one trial and one SupportMatcher.find_min
+    call at a time: the per-trial decoder that StabilizerModel's batch
+    stages replaced, kept as their oracle.
 
     Repairs the observed syndrome, decodes it, reduces the residual over
-    the stabilizer coset and compares it with quarter_square(2 |u|)."""
-    residual = decode_residual(model, e, u, budget)
-    if residual is None:
-        return LowerBound(budget), False
-    rw = model.reduced_weight(residual, budget)
+    the stabilizer coset and compares it with quarter_square(2 |u|).
+
+    Returns:
+        (rw, passed, logical, aborted): the residual's reduced weight,
+        LowerBound(budget) when a search exhausts the budget; whether rw
+        meets the bound; whether the residual is a logical failure; and
+        the stage whose search aborted, "repair" or "decode", or None.
+    """
+    def find(matcher, v):
+        return matcher.find_min(f2.columns_as_ints(v.reshape(-1, 1))[0],
+                                budget)
+
+    s = f2.mat_vec(model.syndrome_map, e) ^ f2.as_f2_vector(u)
+    ann, repair = model._meta_tools()
+    resid = f2.mat_vec(ann, s)
+    if resid.any():
+        w, supp = find(repair, resid)
+        if w is None:
+            return LowerBound(budget), False, False, "repair"
+        for i, _ in supp:
+            s[i] ^= 1
+    w, supp = find(model._decode_tools(), s)
+    if w is None:
+        return LowerBound(budget), False, False, "decode"
+    residual = e.copy()
+    # X and Y set the X bit, Z and Y the Z bit
+    for q, p in supp:
+        residual[q] ^= p != "Z"
+        residual[model.n + q] ^= p != "X"
+    member, coset = model._coset_tools()
+    w, _ = find(coset, f2.mat_vec(member, residual))
+    rw = LowerBound(budget) if w is None else w
+    # a LowerBound is never 0: only a stabilizer reduces to 0
+    logical = not f2.mat_vec(model.syndrome_map, residual).any() and rw != 0
     bound = quarter_square(2 * f2.weight(u))
-    return rw, not isinstance(rw, LowerBound) and Fraction(rw) <= bound
+    passed = not isinstance(rw, LowerBound) and Fraction(rw) <= bound
+    return rw, passed, logical, None
+
+
+def _dense_bits(words):
+    """SupportMatcher._bits from a dense unpack of every entry bit, the
+    way it was built before it read only the set bits, kept as its
+    oracle: (rank, ranked, starts, holders, dead) of entry words (W,
+    count)."""
+    held = np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8),
+                         axis=1, bitorder="little")
+    count = held.sum(axis=0)
+    order = np.argsort(count, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    starts = np.zeros(len(order) + 1, dtype=np.intp)
+    np.cumsum(count[order], out=starts[1:])
+    by_rank = held.take(order, axis=1)
+    ranked = np.packbits(by_rank, axis=1, bitorder="little").view("<u8").T
+    return (rank, ranked, starts, by_rank.T.nonzero()[1],
+            int(np.count_nonzero(count == 0)))
 
 
 def _loop_write_alist(m, path):
@@ -202,9 +253,14 @@ def pauli_weight():
     return _pauli_weight
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def single_shot_trial():
     return _single_shot_trial
+
+
+@pytest.fixture(scope="session")
+def dense_bits():
+    return _dense_bits
 
 
 @pytest.fixture(scope="session")

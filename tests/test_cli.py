@@ -568,6 +568,22 @@ def test_xzzx3d_rejects_a_base_that_is_not_a_ring(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_bssh_rejects_a_base_that_is_not_square(tmp_path, capsys):
+    # the 2x3 open repetition check: ssh builds it, while bssh's
+    # two-copy syndrome checks swap two bands of different heights
+    rep3 = tmp_path / "rep3open.alist"
+    rep3.write_text(REP3_OPEN)
+    code, out, err = run(capsys, "build", "--family", "ssh", "--base",
+                         f"alist:{rep3}", "--out", str(tmp_path / "s"))
+    assert code == 0 and out.endswith(": n=180 k=32\n"), err
+    for cmd in (["build", "--out", str(tmp_path / "b")], ["params"]):
+        code, out, err = run(capsys, *cmd, "--family", "bssh", "--base",
+                             f"alist:{rep3}")
+        assert code == 1 and out == ""
+        assert err == "error: bssh needs a square base check matrix, got 2x3\n"
+    assert not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize("before, after, want", [
     (("--seed", "3"), (), 3),
     ((), ("--seed", "3"), 3),

@@ -140,3 +140,27 @@ def test_tensor_dim_rule_and_validates(seed):
                    if i <= x.length and 0 <= k - i <= y.length)
         assert t.dim(k) == want
 
+
+
+@given(st.integers(0, 2 ** 30))
+@settings(max_examples=50, deadline=None)
+def test_tensor_of_length2_complexes_chains(seed):
+    # the SEHGP builders take tensor's product unvalidated, so d d = 0
+    # must hold for any two valid length-2 factors: here d2 maps onto a
+    # random subspace of ker d1
+    rng = np.random.default_rng(seed)
+    factors = []
+    for _ in range(2):
+        d1 = rng.integers(0, 2, (rng.integers(1, 5), rng.integers(1, 5)),
+                          dtype=np.uint8)
+        ker = f2.kernel_basis(d1).T
+        mix = rng.integers(0, 2, (ker.shape[1], rng.integers(1, 4)),
+                           dtype=np.uint8)
+        factors.append(ChainComplex([(ker.astype(int) @ mix) % 2, d1]))
+    t = complexes.tensor(*factors)
+    assert t.length == 4
+    for k in range(1, t.length + 1):
+        assert t.boundary(k).shape == (t.dim(k - 1), t.dim(k))
+    for k in range(1, t.length):
+        prod = t.boundary(k).astype(int) @ t.boundary(k + 1).astype(int)
+        assert not (prod % 2).any()

@@ -141,6 +141,21 @@ def test_mat_mul_matches_naive(operands):
     assert got_view.flags.c_contiguous and (got_view == got).all()
 
 
+@given(sparse_operands())
+@settings(max_examples=60, deadline=None)
+def test_mat_mul_packed_rows_match_naive(operands):
+    # the bit-packed XOR path, which the operands above are too small
+    # to reach, against the same oracle
+    a, b, gather = operands
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(f2, "_BLAS_MACS", -1)
+        mp.setattr(f2, "_GATHER_WORDS", gather)
+        got = f2.mat_mul(a, np.ascontiguousarray(b.T).T)
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    assert got.shape == (a.shape[0], b.shape[1])
+    assert (got == naive_mul(a, b)).all()
+
+
 def test_rank_zero():
     assert f2.rank(f2.zeros(3, 3)) == 0
 

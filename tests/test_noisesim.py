@@ -1,15 +1,29 @@
 """Channel sampling statistics and the Monte Carlo decoding harness."""
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codeforge import classical, noisesim
 from codeforge import constructions as cons
+from codeforge.classical import LowerBound, SupportMatcher
 from codeforge.noisesim import (CSV_COLUMNS, NoiseModel, run_experiment,
                                 sample_error, sample_flips, write_records)
+from codeforge.soundness import StabilizerModel, quarter_square
 
 REP2 = classical.repetition_closed_loop(2)
+CODES = {"bssh": cons.bssh(REP2), "sehgp": cons.sehgp(REP2, REP2, REP2, REP2),
+         "bsh": cons.bsh(REP2, REP2, REP2, REP2)}
+CHANNELS = {
+    "etaZ10": lambda p, q: NoiseModel.z_biased(p, 10.0, q),
+    "etaZinf": lambda p, q: NoiseModel.z_biased(p, float("inf"), q),
+    "depolarizing": NoiseModel.depolarizing,
+}
+# |u| < 2 and f(2 |u|) + |e| < 6: some trials of each run are in regime
+REGIME_P, REGIME_Q = Fraction(2), Fraction(6)
 
 
 def test_model_constructors_and_bias():
@@ -140,3 +154,97 @@ def test_csv_output(tmp_path):
     out2 = tmp_path / "again.csv"
     write_records(out2, records)
     assert out.read_bytes() == out2.read_bytes()
+
+
+def assert_matches_oracle(oracle, code, model, trials, seed, budget=4):
+    """run_experiment's rows and summary equal those of the per-trial
+    oracle on the same sampled trials; returns the oracle's aborted
+    stage of each trial."""
+    summary, records = run_experiment(code, model, trials, seed,
+                                      regime_p=REGIME_P, regime_q=REGIME_Q,
+                                      budget=budget)
+    sm = StabilizerModel.from_code(code)
+    n = sm.n
+    rows, stages, passes = [], [], 0
+    for trial in range(trials):
+        rng = noisesim._trial_rng(seed, trial)
+        e = sample_error(model, n, rng)
+        u = sample_flips(model.q_meas, sm.m, rng)
+        rw, passed, logical, aborted = oracle(sm, e, u, budget)
+        uw = int(u.sum())
+        regime = (uw < REGIME_P and quarter_square(2 * uw)
+                  + int((e[:n] | e[n:]).sum()) < REGIME_Q)
+        rows.append([trial, int(e[:n].sum()), int(e[n:].sum()), uw,
+                     repr(rw) if isinstance(rw, LowerBound) else rw,
+                     int(logical), int(regime)])
+        stages.append(aborted)
+        passes += regime and passed
+    assert [r.row() for r in records] == rows
+    in_regime = sum(r[6] for r in rows)
+    assert summary["logical_failures"] == sum(r[5] for r in rows)
+    assert summary["in_regime_trials"] == in_regime
+    assert summary["in_regime_pass_rate"] == (passes / in_regime
+                                              if in_regime else None)
+    return stages
+
+
+@pytest.mark.parametrize("family", sorted(CODES))
+@pytest.mark.parametrize("channel", sorted(CHANNELS))
+@pytest.mark.parametrize("q", [0.0, 0.02])
+@given(seed=st.integers(0, 2 ** 32), p=st.sampled_from([0.02, 0.05, 0.08]))
+@settings(max_examples=8, deadline=None)
+def test_run_experiment_matches_per_trial_oracle(single_shot_trial, family,
+                                                 channel, q, seed, p):
+    assert_matches_oracle(single_shot_trial, CODES[family],
+                          CHANNELS[channel](p, q), 8, seed)
+
+
+def test_aborts_in_mid_batch_match_oracle(single_shot_trial):
+    # at budget 2 repair and decode aborts fall between decoded trials
+    stages = assert_matches_oracle(
+        single_shot_trial, CODES["bssh"], NoiseModel.z_biased(0.05, 10.0, 0.03),
+        30, 0, budget=2)
+    decoded = [t for t, s in enumerate(stages) if s is None]
+    inner = stages[decoded[0]:decoded[-1]]
+    assert "repair" in inner and "decode" in inner
+
+
+def test_all_aborts_leave_the_reduce_batch_empty(single_shot_trial):
+    stages = assert_matches_oracle(
+        single_shot_trial, CODES["bsh"], NoiseModel.depolarizing(0.5, 0.3),
+        6, 1, budget=1)
+    assert None not in stages
+
+
+@pytest.mark.parametrize("family", sorted(CODES))
+def test_one_trial_matches_oracle(single_shot_trial, family):
+    for seed in range(4):
+        assert_matches_oracle(single_shot_trial, CODES[family],
+                              NoiseModel.z_biased(0.05, 10.0, 0.02), 1, seed)
+
+
+def test_trial_blocks_match_one_block(single_shot_trial, monkeypatch):
+    model = NoiseModel.z_biased(0.05, 10.0, 0.02)
+    _, whole = run_experiment(CODES["bssh"], model, 10, 5)
+    monkeypatch.setattr(noisesim, "TRIAL_BLOCK", 3)
+    _, blocks = run_experiment(CODES["bssh"], model, 10, 5)
+    assert [r.row() for r in blocks] == [r.row() for r in whole]
+    assert_matches_oracle(single_shot_trial, CODES["bssh"], model, 10, 5)
+
+
+def test_each_stage_is_one_search_per_block(monkeypatch):
+    # repair, decode and reduce each make at most one find_min_batch call
+    # per trial block, whatever the block holds
+    calls = []
+    batch = SupportMatcher.find_min_batch
+
+    def counted(self, keys, words, cap):
+        calls.append(len(keys))
+        return batch(self, keys, words, cap)
+
+    monkeypatch.setattr(SupportMatcher, "find_min_batch", counted)
+    monkeypatch.setattr(noisesim, "TRIAL_BLOCK", 8)
+    run_experiment(CODES["bssh"], NoiseModel.z_biased(0.05, 10.0, 0.02),
+                   20, 7)
+    assert 3 <= len(calls) <= 3 * 3
+    assert sum(calls) > len(calls)

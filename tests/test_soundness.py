@@ -22,7 +22,7 @@ from codeforge.complexes import ChainComplex
 from codeforge.css import CssCode
 from codeforge.soundness import (F_BY_NAME, LemmaContradictionError,
                                  SoundnessReport, StabilizerModel,
-                                 SupportMatcher,
+                                 SupportMatcher, decode_residual,
                                  inheritance_check, quarter_cube,
                                  quarter_square, soundness_scan)
 
@@ -254,6 +254,25 @@ def test_find_min_batch_matches_dfs(block, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classical, "_BLOCK", block)
         assert_batch_matches_dfs(entries, targets, cap)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_bit_index_matches_dense_unpack(dense_bits, seed):
+    # entries of one to four words, sparse to dense, some repeated or 0,
+    # and bits that no entry holds
+    rng = random.Random(seed)
+    width = rng.choice([1, 8, 63, 64, 65, 130, 256])
+    density = rng.choice([0.02, 0.1, 0.5, 0.9])
+    values = [sum(1 << b for b in range(width) if rng.random() < density)
+              for _ in range(rng.randint(0, 40))]
+    values += rng.sample(values, min(3, len(values)))
+    matcher = SupportMatcher([(g, g, v) for g, v in enumerate(values)])
+    got = matcher._bits()
+    want = dense_bits(matcher._tables()[0])
+    for a, b in zip(got[:4], want[:4]):
+        assert a.shape == b.shape and (a == b).all()
+    assert got[4] == want[4]
 
 
 @pytest.mark.parametrize("block", [classical._BLOCK, 3])
@@ -706,13 +725,13 @@ def test_reduced_weight_stabilizer_row_is_zero():
     c = toric18()
     model = StabilizerModel.from_code(c)
     e = np.concatenate([np.zeros(18, dtype=np.uint8), c.hz[0]])
-    assert model.reduced_weight(e) == 0
+    assert model.reduced_weight(e).tolist() == [0]
 
 
 def test_reduced_weight_single_z_on_toric(pauli):
     c = toric18()
     e = pauli(18, 0, "Z")
-    assert StabilizerModel.from_code(c).reduced_weight(e) == 1
+    assert StabilizerModel.from_code(c).reduced_weight(e).tolist() == [1]
 
 
 def test_reduced_weight_ring_string_folds_back():
@@ -722,11 +741,11 @@ def test_reduced_weight_ring_string_folds_back():
     e = np.zeros(12, dtype=np.uint8)
     e[7:] = 1
     model = StabilizerModel.from_code(ring)
-    assert model.reduced_weight(e) == 1
     # even-length strings are stabilizer products and vanish entirely
     even = np.zeros(12, dtype=np.uint8)
     even[7:11] = 1
-    assert model.reduced_weight(even) == 0
+    # one batch, one error per column
+    assert model.reduced_weight(np.column_stack([e, even])).tolist() == [1, 0]
 
 
 @given(st.integers(0, 2 ** 30))
@@ -736,7 +755,7 @@ def test_reduced_weight_matches_span_enumeration(pauli_weight, seed):
     c = cons.hgp(REP2.h, REP2.h)  # 8 qubits, 8 checks
     model = StabilizerModel.from_code(c)
     e = rng.integers(0, 2, 16, dtype=np.uint8)
-    got = model.reduced_weight(e, budget=8)
+    [got] = model.reduced_weight(e, budget=8).tolist()
     assert got == brute_reduced_weight(model, e)
     assert got <= pauli_weight(e)
 
@@ -760,7 +779,7 @@ def test_reduced_weight_is_zero_exactly_on_stabilizers(code, seed,
     else:
         e = rng.integers(0, 2, 2 * model.n, dtype=np.uint8)
     in_span = bool(f2.RowSpaceTester(gens).contains_batch(e[None])[0])
-    assert (model.reduced_weight(e, budget=8) == 0) == in_span
+    assert (model.reduced_weight(e, budget=8)[0] == 0) == in_span
 
 
 @pytest.mark.parametrize("p", ["X", "Y", "Z"])
@@ -770,11 +789,12 @@ def test_min_weight_decode_single_paulis(pauli, pauli_weight, p):
     e = pauli(n, 5, p)
     # Y sets both bits, X and Z one each
     assert (e[5], e[n + 5]) == (int(p != "Z"), int(p != "X"))
-    s = model.syndrome(e)
-    e_hat = model.min_weight_decode(s)
-    assert e_hat.shape == (2 * n,) and e_hat.dtype == np.uint8
-    assert pauli_weight(e_hat) == 1
-    assert (model.syndrome(e_hat) == s).all()
+    s = f2.mat_vec(model.syndrome_map, e)
+    e_hat, found = model.min_weight_decode(s)
+    assert e_hat.shape == (2 * n, 1) and e_hat.dtype == np.uint8
+    assert found.tolist() == [True]
+    assert pauli_weight(e_hat[:, 0]) == 1
+    assert (f2.mat_vec(model.syndrome_map, e_hat[:, 0]) == s).all()
 
 
 def test_scan_product_complex_boundary_clean():
@@ -943,7 +963,7 @@ def test_model_syndrome_agrees_with_css_view():
         e = rng.integers(0, 2, 36, dtype=np.uint8)
         want = np.concatenate([f2.mat_vec(c.hx, e[18:]),
                                f2.mat_vec(c.hz, e[:18])])
-        assert (model.syndrome(e) == want).all()
+        assert (f2.mat_vec(model.syndrome_map, e) == want).all()
 
 
 def test_model_shape_mismatch():
@@ -955,44 +975,48 @@ def test_repair_syndrome_identity_and_single_flip(pauli):
     rot = cons.bssh(REP2)
     model = StabilizerModel.from_code(rot)
     e = pauli(model.n, 5, "Z")
-    s = model.syndrome(e)
-    repaired, u_hat = model.repair_syndrome(s)
-    assert (repaired == s).all() and not u_hat.any()
+    s = f2.mat_vec(model.syndrome_map, e)
     u = np.zeros(model.m, dtype=np.uint8)
     u[7] = 1
-    repaired, u_hat = model.repair_syndrome(s ^ u)
+    # one batch: the clean readout and the one with outcome 7 flipped
+    repaired, found = model.repair_syndrome(np.column_stack([s, s ^ u]))
+    assert found.tolist() == [True, True]
+    assert (repaired[:, 0] == s).all()
     # the repaired syndrome is achievable again
     ann, _ = model._meta_tools()
-    assert not f2.mat_vec(ann, repaired).any()
-    assert f2.weight(u_hat) <= 1
+    assert not f2.mat_mul(ann, repaired).any()
+    assert f2.weight(repaired[:, 1] ^ s ^ u) <= 1
 
 
-def test_single_shot_noiseless_identity(single_shot_trial):
+def decode_batch(model, e, u):
+    """Reduced residual weights of the two-stage decoder over the columns
+    of e and u, -1 where a search exhausts its budget."""
+    residual, decoded = decode_residual(model, e, u)
+    return np.where(decoded, model.reduced_weight(residual), -1)
+
+
+def test_single_shot_noiseless_identity():
     rot = cons.bssh(REP2)
     e = np.zeros(2 * rot.n, dtype=np.uint8)
     u = np.zeros(rot.check_count(), dtype=np.uint8)
-    rw, passed = single_shot_trial(StabilizerModel.from_code(rot), e, u)
-    assert rw == 0 and passed
+    assert decode_batch(StabilizerModel.from_code(rot), e, u).tolist() == [0]
 
 
-def test_single_shot_weight1_error_clean_readout(single_shot_trial, pauli):
+def test_single_shot_weight1_error_clean_readout(pauli):
     rot = cons.bsh(REP2, REP2, REP2, REP2)
     model = StabilizerModel.from_code(rot)
-    u = np.zeros(model.m, dtype=np.uint8)
-    for qubit, p in [(0, "X"), (40, "Z"), (90, "Y")]:
-        e = pauli(rot.n, qubit, p)
-        rw, passed = single_shot_trial(model, e, u)
-        assert rw == 0 and passed
+    e = np.column_stack([pauli(rot.n, qubit, p)
+                         for qubit, p in [(0, "X"), (40, "Z"), (90, "Y")]])
+    u = np.zeros((model.m, 3), dtype=np.uint8)
+    assert decode_batch(model, e, u).tolist() == [0, 0, 0]
 
 
-def test_single_shot_one_flipped_outcome(single_shot_trial):
+def test_single_shot_one_flipped_outcome():
     rot = cons.bsh(REP2, REP2, REP2, REP2)
     model = StabilizerModel.from_code(rot)
-    e = np.zeros(2 * rot.n, dtype=np.uint8)
-    for pos in (0, 50, 127):
-        u = np.zeros(model.m, dtype=np.uint8)
-        u[pos] = 1
-        rw, passed = single_shot_trial(model, e, u)
-        assert passed
-        assert Fraction(int(rw)) <= quarter_square(2)
-
+    e = np.zeros((2 * rot.n, 3), dtype=np.uint8)
+    u = np.zeros((model.m, 3), dtype=np.uint8)
+    u[[0, 50, 127], [0, 1, 2]] = 1
+    rw = decode_batch(model, e, u)
+    assert all(0 <= w and Fraction(w) <= quarter_square(2)
+               for w in rw.tolist())
