@@ -1,8 +1,8 @@
 """Classical linear codes over GF(2): the check-matrix code type, the
 repetition codes, and SupportMatcher, the one support-search engine
 that distance searches, soundness scans and the single-shot decoder
-share: one recursive descent, in steps of at most _BLOCK rows, on the
-entries that hold a remainder's rarest bit.
+share: one recursive descent, in steps of at most _STEP_WORDS 64-bit
+words of remainders, on the entries that hold a remainder's rarest bit.
 
 A code is the kernel of its parity-check matrix h: n = cols(h) and
 k = n - rank(h); its distance up to a cap is one least_weight search.
@@ -29,8 +29,10 @@ class LowerBound:
 
 
 _KEY_SEED = 0x2545F4914F6CDD1D
-# rows per search step; bounds the step's temporaries
-_BLOCK = 1 << 16
+# remainder words per search step (512 KB): a step of W-word entries
+# holds max(1, _STEP_WORDS // W) rows, so its temporaries are bounded in
+# bytes whatever the entries' width
+_STEP_WORDS = 1 << 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,8 +114,8 @@ class SupportMatcher:
     entries: 12 on the bssh rep:2 decoder, but 27 to 63 on rsh1 rep:3's
     dense scan annihilator, where weight 4 costs the most.  Each
     candidate passes the group test and a full value check, one 64-bit
-    word at a time, and a step holds at most _BLOCK rows, so
-    temporaries are bounded by the block.
+    word at a time, and a step holds at most max(1, _STEP_WORDS // W)
+    rows of W words, so its temporaries are bounded in bytes.
 
     - find_min_batch descends with no floor.  A live target has no
       lighter support, so a remainder that reaches 0 above weight 0 is
@@ -272,12 +274,13 @@ class SupportMatcher:
             hit = (~ranked.any(axis=0)).nonzero()[0]
             yield tgt[hit], np.zeros((len(hit), 0), dtype=np.int64)
             return
+        step = max(1, _STEP_WORDS // len(ranked))
         if weight == 1:
             # binary searches run about twice as fast on sorted keys
             table, order = self._entry_table(), np.argsort(keys)
             lo, hi = table.span(keys[order])
             steps = ((order[item], table.ordinals(pos))
-                     for item, pos in _spans(lo, hi - lo))
+                     for item, pos in _spans(lo, hi - lo, step))
         else:
             _, eranked, starts, holders, dead = self._bits()
             # the pivot, the lowest set bit of the first nonzero word:
@@ -290,13 +293,14 @@ class SupportMatcher:
             live = (pivot >= dead).nonzero()[0]
             at = pivot[live]
             steps = ((live[item], holders[pos]) for item, pos in
-                     _spans(starts[at], starts[at + 1] - starts[at]))
+                     _spans(starts[at], starts[at + 1] - starts[at], step))
             if floor is not None:
                 zero = pivot < 0
                 least = zero.nonzero()[0]
                 steps = itertools.chain(steps, (
                     (least[item], pos) for item, pos in
-                    _spans(floor[least], len(self.entries) - floor[least])))
+                    _spans(floor[least], len(self.entries) - floor[least],
+                           step)))
         groups, ekeys = self._groups, self._tables()[1]
         for item, e in steps:
             if floor is None:
@@ -311,9 +315,10 @@ class SupportMatcher:
                 yield self._exact(tgt.take(item), np.sort(
                     np.column_stack(row), axis=1), twords)
             else:
+                rest = ranked.take(item, axis=1)
+                rest ^= eranked.take(e, axis=1)
                 yield from self._descend(
-                    tgt.take(item), keys.take(item) ^ ekeys.take(e),
-                    ranked.take(item, axis=1) ^ eranked.take(e, axis=1),
+                    tgt.take(item), keys.take(item) ^ ekeys.take(e), rest,
                     row, weight - 1, twords,
                     None if floor is None else
                     np.where(zero.take(item), e + 1, floor.take(item)))
@@ -357,7 +362,8 @@ class SupportMatcher:
         LowerBound(cap).  keep, when given, takes one step's supports
         (rows of entry indices, a row possibly repeated) and says whether
         it holds one that counts; the search stops at the first step
-        where it does.  Each step holds at most _BLOCK rows."""
+        where it does.  Each step holds at most _STEP_WORDS words of
+        remainders (see the class docstring)."""
         for w in range(1, cap + 1):
             for got in self._walk(0, w):
                 if len(got) and (keep is None or keep(got)):
@@ -405,13 +411,13 @@ def _ranked(words: np.ndarray, rank: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spans(base: np.ndarray, count: np.ndarray):
-    """Yield (item, position) arrays, at most _BLOCK long, that list the
+def _spans(base: np.ndarray, count: np.ndarray, step: int):
+    """Yield (item, position) arrays, at most step long, that list the
     positions base[i] .. base[i] + count[i] - 1 of each item i in turn."""
     ends = np.cumsum(count)
     total = int(ends[-1]) if len(ends) else 0
-    for s in range(0, total, _BLOCK):
-        k = np.arange(s, min(s + _BLOCK, total))
+    for s in range(0, total, step):
+        k = np.arange(s, min(s + step, total))
         item = np.searchsorted(ends, k, side="right")
         yield item, base[item] + k - (ends[item] - count[item])
 

@@ -96,10 +96,6 @@ class BlockTaggedCss(CssCode):
         super().__init__(hx, hz, hsx=hsx, hsz=hsz, metadata=meta)
         self.validate()
 
-    def check_count(self) -> int:
-        """Number of measured stabilizers."""
-        return self.stab_x.shape[0]
-
     def validate(self) -> None:
         css.validate_css(self)
 

@@ -79,9 +79,14 @@ class CssCode:
         return max(int(h.sum(axis=1).max(initial=0))
                    for h in (self.hx, self.hz))
 
+    def check_count(self) -> int:
+        """Number of measured stabilizers: hx rows, plus hz rows unless
+        paired (stab_x's row count, without building it)."""
+        return len(self.hx) + (0 if self.paired else len(self.hz))
+
     def __repr__(self):
         fam = self.metadata.get("family", "css")
-        return f"<CssCode {fam} n={self.n} checks={self.stab_x.shape[0]}>"
+        return f"<CssCode {fam} n={self.n} checks={self.check_count()}>"
 
 
 def validate_css(c: CssCode) -> None:
@@ -112,10 +117,14 @@ def validate_css(c: CssCode) -> None:
 
 
 def logical_count(c: CssCode) -> int:
-    """k = n - rank([stab_x | stab_z]), which is n - rank(hx) - rank(hz)
-    for an unpaired code.  Does not validate; callers that need a valid
-    code call validate_css first."""
-    return c.n - f2.rank(np.concatenate([c.stab_x, c.stab_z], axis=1))
+    """k = n - rank([stab_x | stab_z]), ranked without that zero-padded
+    copy: n - rank([hx | hz]) for a paired code, whose rows are whole
+    stabilizers, and n - rank(hx) - rank(hz) for an unpaired one, whose
+    X and Z rows span disjoint coordinates.  Does not validate; callers
+    that need a valid code call validate_css first."""
+    if c.paired:
+        return c.n - f2.rank(np.concatenate([c.hx, c.hz], axis=1))
+    return c.n - f2.rank(c.hx) - f2.rank(c.hz)
 
 
 def distance(c: CssCode, kind: str, max_weight: int, k: int | None = None):

@@ -7,6 +7,7 @@ exhaustively over a small code zoo, with n and k from independent rank
 arithmetic and d from full codeword enumeration (brute_distance).
 """
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -201,3 +202,74 @@ def test_keys_separate_kronecker_columns(block):
     values = f2.columns_as_ints(m)
     assert len({fold(v) for v in values}) < len(set(values)) // 4
     assert len(set(search_keys(values))) == len(set(values))
+
+
+def step_case(seed):
+    """(entries, targets, accepted) for a matcher of 1 to 10 words.
+
+    Each group holds one or two XORs of a few base values, so light
+    zero-XOR supports and repeated values across groups are common.
+    Targets XOR entries of up to three groups; accepted is a random part
+    of the zero-XOR supports of weight <= 3, for least_weight's keep."""
+    rng = random.Random(seed)
+    bits = rng.choice((8, 70, 200, 600))
+    base = [rng.getrandbits(bits) for _ in range(rng.randint(2, 5))]
+    entries = []
+    for g in range(rng.randint(1, 9)):
+        for t in range(rng.randint(1, 2)):
+            v = 0
+            for b in rng.sample(base, rng.randint(1, 2)):
+                v ^= b
+            entries.append((g, t, v))
+    groups = sorted({g for g, _, _ in entries})
+    targets = []
+    for _ in range(6):
+        t = 0
+        for g in rng.sample(groups, min(len(groups), rng.randint(0, 3))):
+            t ^= rng.choice([v for h, _, v in entries if h == g])
+        targets.append(t)
+    accepted = {tuple(s) for w in range(1, 4)
+                for s in SupportMatcher(entries).supports(w).tolist()
+                if rng.random() < 0.3}
+    return entries, targets, accepted
+
+
+def step_answers(entries, targets, accepted):
+    """Every answer of the support search on one case, and the (rows,
+    step) of every step that _spans cut."""
+    steps = []
+    spans = classical._spans
+
+    def spy(base, count, step):
+        for item, pos in spans(base, count, step):
+            steps.append((len(item), step))
+            yield item, pos
+
+    m = SupportMatcher(entries)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "_spans", spy)
+        weight, rows = m.find_min_batch(*m.pack(targets), 3)
+        answers = (weight.tolist(), rows.tolist(),
+                   [m.supports(w, t).tolist() for w in range(4)
+                    for t in (0, *targets[:2])],
+                   m.least_weight(3),
+                   m.least_weight(3, lambda got: any(
+                       tuple(r) in accepted for r in got.tolist())))
+    return answers, steps, len(m._tables()[0])
+
+
+@pytest.mark.parametrize("step_words", [1, 7, 64])
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_step_size_keeps_answers(step_words, seed):
+    """find_min_batch, supports and least_weight answer the same at a
+    budget of 1, 7 or 64 words a step as at the default, and each step
+    holds max(1, budget // W) rows of W words: one row when W > budget."""
+    case = step_case(seed)
+    want, _, _ = step_answers(*case)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "_STEP_WORDS", step_words)
+        got, steps, words = step_answers(*case)
+    assert got == want
+    most = max(1, step_words // words)
+    assert all(rows <= step == most for rows, step in steps)

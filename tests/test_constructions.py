@@ -381,10 +381,10 @@ def random_commuting_stabilizers(rng, n, m):
             np.array(zs, dtype=np.uint8).reshape(-1, n))
 
 
-@pytest.mark.parametrize("block", [classical._BLOCK, 3])
+@pytest.mark.parametrize("step_words", [classical._STEP_WORDS, 3])
 @given(st.integers(0, 2 ** 30))
 @settings(max_examples=60, deadline=None)
-def test_pauli_distance_matches_brute_on_random_stabilizers(block, seed):
+def test_pauli_distance_matches_brute_on_random_stabilizers(step_words, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 8))
     # nearly n generators leave few logicals, so distances above 1 occur
@@ -392,10 +392,10 @@ def test_pauli_distance_matches_brute_on_random_stabilizers(block, seed):
     sx, sz = random_commuting_stabilizers(rng, n, m)
     cap = int(rng.integers(1, 6))
     want = brute_pauli_distance(sx, sz, cap)
-    # at block size 3 a weight-4 search (reached when every lighter
+    # at a step of 3 words a weight-4 search (reached when every lighter
     # undetected error is a stabilizer) walks many search steps
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classical, "_BLOCK", block)
+        mp.setattr(classical, "_STEP_WORDS", step_words)
         got = cons.pauli_distance(sx, sz, cap)
     assert got == (LowerBound(cap) if want is None else want)
 
@@ -405,7 +405,7 @@ def test_distance_searches_stop_mid_shell(monkeypatch):
     distance searches walk past a weight-4 step that keep rejects (the
     spy rejects the first one) and stop at a later step, before the
     shell's last one."""
-    monkeypatch.setattr(classical, "_BLOCK", 3)
+    monkeypatch.setattr(classical, "_STEP_WORDS", 3)
     batch = f2.RowSpaceTester.contains_batch
     tested = []
     every_step = False

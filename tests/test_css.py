@@ -1,12 +1,15 @@
 """CSS codes: validity, parameters, distances, Tanner decomposition,
 and the alist bundle interchange."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codeforge import classical, css, f2
-from codeforge.constructions import bssh, code_distance, hgp
+from codeforge import classical, cli, css, f2
+from codeforge.constructions import bssh, bsh, code_distance, hgp, sehgp
 from codeforge.css import CssCode, CssValidationError, NoLogicalsError
 
 
@@ -49,6 +52,73 @@ def test_logical_count_empty_checks():
     assert css.logical_count(c) == 5
 
 
+def padded_logical_count(c):
+    """The oracle: k = n - rank([stab_x | stab_z]), the zero-padded
+    symplectic stack, ranked whole."""
+    return c.n - f2.rank(np.concatenate([c.stab_x, c.stab_z], axis=1))
+
+
+def hadamard_rotated(c, qubits):
+    """c in paired form with a Hadamard on each of the given qubits: the
+    X and Z parts of every stabilizer swap on those columns."""
+    sx, sz = c.stab_x.copy(), c.stab_z.copy()
+    sx[:, qubits], sz[:, qubits] = c.stab_z[:, qubits], c.stab_x[:, qubits]
+    return CssCode(sx, sz, metadata={"paired_rows": True})
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_logical_count_matches_padded_rank(seed):
+    """HGPs of random matrices, and the same codes with a random block of
+    consecutive qubits Hadamard-rotated into paired form (as bsh rotates
+    a block of sehgp), have the oracle's k; the rotation keeps it."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.integers(0, 2, rng.integers(1, 5, size=2), dtype=np.uint8)
+            for _ in range(2))
+    c = hgp(a, b)
+    k = css.logical_count(c)
+    assert k == padded_logical_count(c)
+    lo, hi = sorted(rng.integers(0, c.n + 1, size=2))
+    rot = hadamard_rotated(c, np.arange(lo, hi))
+    css.validate_css(rot)
+    assert css.logical_count(rot) == padded_logical_count(rot) == k
+    assert rot.check_count() == c.check_count() == len(c.stab_x)
+
+
+@pytest.mark.parametrize("family", cli.FAMILIES)
+def test_logical_count_matches_padded_rank_on_families(family):
+    c = cli.build_family(family, classical.repetition_closed_loop(2))
+    assert css.logical_count(c) == padded_logical_count(c)
+    assert c.check_count() == len(c.stab_x)
+
+
+def traced_peak(f, *args):
+    """Peak bytes that f(*args) allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_logical_count_peak_stays_below_check_matrices():
+    """Ranking sehgp rep:4 (n = 1536, 2048 checks) sector by sector
+    allocates less than the two check matrices hold (3 MB); the padded
+    2048 x 3072 stack alone is 6 MB."""
+    rep4 = classical.repetition_closed_loop(4)
+    c = sehgp(rep4, rep4, rep4, rep4)
+    assert traced_peak(css.logical_count, c) < c.hx.nbytes + c.hz.nbytes
+
+
+def test_bsh_rep3_distance_search_peak_is_bounded():
+    """bsh rep:3's weight-<=4 Pauli search runs on 11-word entries; its
+    steps are bounded in words, so it peaks below 6 MB."""
+    rep3 = classical.repetition_closed_loop(3)
+    c = bsh(rep3, rep3, rep3, rep3)
+    assert traced_peak(code_distance, c, 4) < 6 * 2 ** 20
+
+
 def test_logical_x_equals_logical_z():
     c = toric18()
     n = c.n
@@ -78,12 +148,12 @@ def test_distance_hgp_rep3():
     assert css.distance(c, "Z", 3) == 3
 
 
-@pytest.mark.parametrize("block", [classical._BLOCK, 3])
-def test_distance_matches_full_enumeration(block, monkeypatch):
-    # d = 2 here, so block size 3 cuts only the first levels of the
+@pytest.mark.parametrize("step_words", [classical._STEP_WORDS, 3])
+def test_distance_matches_full_enumeration(step_words, monkeypatch):
+    # d = 2 here, so a step of 3 words cuts only the first levels of the
     # descent into steps; test_distance_searches_stop_mid_shell stops
     # between steps of one weight
-    monkeypatch.setattr(classical, "_BLOCK", block)
+    monkeypatch.setattr(classical, "_STEP_WORDS", step_words)
     rep2 = classical.repetition_closed_loop(2)
     c = hgp(rep2.h, rep2.h)  # 8 qubits
     for kind in "XZ":

@@ -238,10 +238,10 @@ def assert_batch_matches_dfs(entries, targets, cap):
             assert row[w:] == [-1] * (len(row) - w)
 
 
-@pytest.mark.parametrize("block", [classical._BLOCK, 3])
+@pytest.mark.parametrize("step_words", [classical._STEP_WORDS, 3])
 @given(st.integers(0, 2 ** 32))
 @settings(max_examples=100, deadline=None)
-def test_find_min_batch_matches_dfs(block, seed):
+def test_find_min_batch_matches_dfs(step_words, seed):
     entries, targets, cap, _ = matcher_case(seed, 6)
     rng = random.Random(seed)
     if rng.random() < 0.1:
@@ -252,7 +252,7 @@ def test_find_min_batch_matches_dfs(block, seed):
     targets += [targets[0], targets[1], 0, wide]
     rng.shuffle(targets)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classical, "_BLOCK", block)
+        mp.setattr(classical, "_STEP_WORDS", step_words)
         assert_batch_matches_dfs(entries, targets, cap)
 
 
@@ -275,14 +275,14 @@ def test_bit_index_matches_dense_unpack(dense_bits, seed):
     assert got[4] == want[4]
 
 
-@pytest.mark.parametrize("block", [classical._BLOCK, 3])
-def test_find_min_batch_rejects_key_ghosts(block, monkeypatch):
+@pytest.mark.parametrize("step_words", [classical._STEP_WORDS, 3])
+def test_find_min_batch_rejects_key_ghosts(step_words, monkeypatch):
     rng = random.Random(3)
     g = key_ghost(rng, 100)
     a, b, c = (rng.getrandbits(100) for _ in range(3))
     entries = [(0, "a", a), (1, "b", b), (2, "c", c), (3, "d", a ^ g),
                (4, "e", b ^ c ^ g), (5, "f", a ^ b ^ c ^ g)]
-    monkeypatch.setattr(classical, "_BLOCK", block)
+    monkeypatch.setattr(classical, "_STEP_WORDS", step_words)
     # g and a ^ b ^ g share keys with 0 and a ^ b, which have supports
     # that g and a ^ b ^ g do not share
     assert_batch_matches_dfs(entries, [0, g, a, a ^ b ^ g, g, a ^ b, b ^ c],
@@ -333,15 +333,15 @@ def descent_case(seed):
     return entries, targets, cap
 
 
-@pytest.mark.parametrize("block", [classical._BLOCK, 3])
+@pytest.mark.parametrize("step_words", [classical._STEP_WORDS, 3])
 @given(st.integers(0, 2 ** 32))
 @settings(max_examples=150, deadline=None)
-def test_descent_matches_dfs(block, seed):
+def test_descent_matches_dfs(step_words, seed):
     """find_min_batch against DfsMatcher on zero values, unheld target
     bits, dense values with large pivot sets, duplicates across groups,
     Pauli triples and groups of two; every step of the descent below
     the batch's top level, and every candidate step, holds at most
-    _BLOCK rows."""
+    max(1, _STEP_WORDS // W) rows of W-word values (W is 2 at 70 bits)."""
     entries, targets, cap = descent_case(seed)
     sizes = []
     descend, exact = SupportMatcher._descend, SupportMatcher._exact
@@ -349,19 +349,20 @@ def test_descent_matches_dfs(block, seed):
     def spy_descend(self, tgt, keys, ranked, cols, weight, twords,
                     floor=None):
         if cols:
-            sizes.append(len(keys))
+            sizes.append((len(keys), max(1, step_words // len(ranked))))
         return descend(self, tgt, keys, ranked, cols, weight, twords, floor)
 
     def spy_exact(self, got, rows, twords):
-        sizes.append(len(rows))
+        words = len(self._tables()[0])
+        sizes.append((len(rows), max(1, step_words // words)))
         return exact(self, got, rows, twords)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classical, "_BLOCK", block)
+        mp.setattr(classical, "_STEP_WORDS", step_words)
         mp.setattr(SupportMatcher, "_descend", spy_descend)
         mp.setattr(SupportMatcher, "_exact", spy_exact)
         assert_batch_matches_dfs(entries, targets, cap)
-    assert max(sizes, default=0) <= block
+    assert all(rows <= most for rows, most in sizes)
 
 
 def test_find_min_builds_no_pair_table(monkeypatch):
@@ -434,10 +435,10 @@ def brute_supports(entries, weight, target):
     return out
 
 
-@pytest.mark.parametrize("block", [classical._BLOCK, 3])
+@pytest.mark.parametrize("step_words", [classical._STEP_WORDS, 3])
 @given(st.integers(0, 2 ** 32), st.sampled_from(("zero", "case", "hit")))
 @settings(max_examples=200, deadline=None)
-def test_support_matcher_supports_match_combinations(block, seed, kind):
+def test_support_matcher_supports_match_combinations(step_words, seed, kind):
     entries, (target,), _, _ = matcher_case(seed)
     rng = random.Random(seed)
     weight = rng.randint(0, 5)
@@ -451,9 +452,9 @@ def test_support_matcher_supports_match_combinations(block, seed, kind):
         target = 0
         for g in rng.sample(groups, min(weight, len(groups))):
             target ^= rng.choice([v for h, _, v in entries if h == g])
-    # at block size 3 each level of the descent spans many steps
+    # at a step of 3 words each level of the descent spans many steps
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classical, "_BLOCK", block)
+        mp.setattr(classical, "_STEP_WORDS", step_words)
         got = SupportMatcher(entries).supports(weight, target)
     assert got.shape == (len(got), weight)
     assert [tuple(row) for row in got.tolist()] == brute_supports(
@@ -514,15 +515,15 @@ def zero_case(seed):
     return entries, ghost
 
 
-@pytest.mark.parametrize("block", [classical._BLOCK, 3])
+@pytest.mark.parametrize("step_words", [classical._STEP_WORDS, 3])
 @given(st.integers(0, 2 ** 32))
 @settings(max_examples=100, deadline=None)
-def test_zero_target_reads_match_brute(block, seed):
+def test_zero_target_reads_match_brute(step_words, seed):
     entries, ghost = zero_case(seed)
     rng = random.Random(seed)
     want = {w: brute_supports(entries, w, 0) for w in range(5)}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classical, "_BLOCK", block)
+        mp.setattr(classical, "_STEP_WORDS", step_words)
         matcher = SupportMatcher(entries)
         for w in range(5):
             assert [tuple(r) for r in matcher.supports(w).tolist()] == want[w]
@@ -551,7 +552,7 @@ def test_zero_target_reads_match_brute(block, seed):
     for rows in seen:
         w = len(rows[0])
         assert set(rows) <= set(want[w])
-        assert len(rows) <= block
+        assert len(rows) <= step_words
     hits = [any(r in accepted for r in rows) for rows in seen]
     if first is None:
         assert not any(hits)
@@ -592,9 +593,9 @@ def test_descent_takes_no_entry_below_a_floor(seed):
         assert len(np.unique(rows, axis=0)) == len(rows)
 
 
-@pytest.mark.parametrize("block", [classical._BLOCK, 3])
+@pytest.mark.parametrize("step_words", [classical._STEP_WORDS, 3])
 def test_zero_entry_sends_weight_5_to_a_zero_target_after_it(
-        block, monkeypatch, first_support):
+        step_words, monkeypatch, first_support):
     """The zero entry leaves a remainder of 0 below the top level of the
     descent, which then takes each entry from the row's floor on as the
     least of the rest; it must not reach back below the floor."""
@@ -603,7 +604,7 @@ def test_zero_entry_sends_weight_5_to_a_zero_target_after_it(
     entries = [(0, 0, a), (1, 0, b), (2, 0, a ^ b), (3, 0, 0),
                (4, 0, c), (5, 0, c), (6, 0, a), (7, 0, b ^ c),
                (8, 0, a ^ c)]
-    monkeypatch.setattr(classical, "_BLOCK", block)
+    monkeypatch.setattr(classical, "_STEP_WORDS", step_words)
     matcher = SupportMatcher(entries)
     for target in (0, a, b ^ c):
         for weight in (4, 5):
@@ -621,9 +622,9 @@ def test_zero_entry_sends_weight_5_to_a_zero_target_after_it(
 def test_steps_hold_at_most_block_candidates(monkeypatch):
     """Five pairs of later groups XOR to 1, the value of entry 0, so
     target 1 has five supports of weight 2, and target 0 five of weight
-    3 and more of weight 4; blocks of 3 cut them into steps, for
+    3 and more of weight 4; steps of 3 words cut them up, for
     supports and for the least_weight walk alike."""
-    monkeypatch.setattr(classical, "_BLOCK", 3)
+    monkeypatch.setattr(classical, "_STEP_WORDS", 3)
     entries = [(0, 0, 1), (0, 1, 1 << 20), (1, 0, 1 << 21)] + [
         (g, 0, v) for i in range(1, 6)
         for g, v in ((2 * i, 2 << i), (2 * i + 1, 2 << i ^ 1))]
@@ -878,14 +879,14 @@ def test_scan_matches_combinations_scan(seed):
             == combinations_scan(d, t, f, cap))
 
 
-@pytest.mark.parametrize("block", [classical._BLOCK, 3])
-def test_scan_matches_combinations_scan_rsh1_rep2(block, monkeypatch):
+@pytest.mark.parametrize("step_words", [classical._STEP_WORDS, 3])
+def test_scan_matches_combinations_scan_rsh1_rep2(step_words, monkeypatch):
     c = cons.rsh(REP2, REP2, REP2, REP2, 1)
     d = StabilizerModel.from_code(c).syndrome_map
-    monkeypatch.setattr(classical, "_BLOCK", block)
+    monkeypatch.setattr(classical, "_STEP_WORDS", step_words)
     # past t = 3 the default preimage cap makes every miss a long search
     cases = [(0, None), (1, None), (2, None), (3, None), (4, 2)]
-    if block == 3:
+    if step_words == 3:
         # a join step then holds one syndrome and 3 columns, so the 96
         # syndromes of weight 2 take ~5000 steps; the 7408 of weight 4
         # would take ~400000 (23 s), and at the default size they
